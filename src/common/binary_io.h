@@ -93,6 +93,13 @@ class BinaryReader {
 
   size_t remaining() const { return size_ - pos_; }
 
+  /// True when `count` items of `item_bytes` encoded bytes each fit in
+  /// the unread input. Decoders check every count they read against this
+  /// before reserving, so a hostile count cannot force a huge allocation.
+  bool Fits(uint64_t count, size_t item_bytes) const {
+    return count <= remaining() / item_bytes;
+  }
+
  private:
   Status Need(size_t bytes) const;
 

@@ -14,15 +14,7 @@ bool ReadForceScalarEnv() {
 }  // namespace
 
 const char* SimdTierName(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kSse2:
-      return "sse2";
-    case SimdTier::kAvx2:
-      return "avx2";
-    case SimdTier::kScalar:
-      break;
-  }
-  return "scalar";
+  return tier == SimdTier::kAvx2 ? "avx2" : "scalar";
 }
 
 bool ForceScalarFromEnv() {
@@ -35,7 +27,6 @@ SimdTier DetectedSimdTier() {
     if (ForceScalarFromEnv()) return SimdTier::kScalar;
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
-    if (__builtin_cpu_supports("sse2")) return SimdTier::kSse2;
 #endif
     return SimdTier::kScalar;
   }();

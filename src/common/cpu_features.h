@@ -3,7 +3,7 @@
 //
 // Runtime CPU-feature detection shared by every dispatched kernel in the
 // tree: the CRC32C WAL checksum (common/binary_io.cc) and the aggregate
-// corner/integration kernels (geo/aggregate_kernels.h). Each query
+// children/integration kernels (geo/aggregate_kernels.h). Each query
 // detects once, at first call, and caches the answer — the same
 // static-bool shape the Crc32c dispatch has always used, now fed from
 // one place so no kernel grows a private cpuid probe.
@@ -26,11 +26,10 @@ namespace fairidx {
 /// scalar loop.
 enum class SimdTier {
   kScalar = 0,  ///< Portable C++ loops; also the FAIRIDX_FORCE_SCALAR pin.
-  kSse2 = 1,    ///< 2-double lanes (baseline on x86-64).
-  kAvx2 = 2,    ///< 4-double lanes.
+  kAvx2 = 1,    ///< 4-double lanes.
 };
 
-/// Lower-case tier name ("scalar" / "sse2" / "avx2") for CLI output and
+/// Lower-case tier name ("scalar" / "avx2") for CLI output and
 /// the bench JSON context field.
 const char* SimdTierName(SimdTier tier);
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <thread>
@@ -864,9 +865,11 @@ Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
   return feed;
 }
 
-// The FairIndexService configuration both serving workloads share: the
+// The FairIndexService configuration every serving workload shares: the
 // sweep point's build/store/refine knobs, the per-point WAL
-// subdirectory, and the maintain_policy = auto scheduler mapping.
+// subdirectory, and the MaintenancePolicy — which the background loop
+// runs under maintain_policy = auto and the stream loop ticks itself
+// under maintain_policy = caller.
 Result<FairIndexServiceOptions> MakeServiceOptions(
     const ScenarioConfig& config, const ScenarioRun& run) {
   FairIndexServiceOptions options;
@@ -890,24 +893,22 @@ Result<FairIndexServiceOptions> MakeServiceOptions(
     FAIRIDX_ASSIGN_OR_RETURN(options.durability.fsync,
                              ParseWalFsync(config.fsync));
   }
-  if (config.maintain_policy == ScenarioMaintainPolicy::kAuto) {
-    options.auto_maintain = true;
-    // stream_seal_records = 0 means "every batch" in caller mode; for
-    // the scheduler that is a 1-record cadence — unless seal_interval
-    // was given, in which case 0 disables the record cadence so the
-    // wall clock alone governs (interval-only policies stay
-    // expressible).
-    options.maintain.seal_records =
-        config.stream_seal_records > 0
-            ? config.stream_seal_records
-            : (config.seal_interval > 0.0 ? 0 : 1);
-    options.maintain.seal_interval_seconds = config.seal_interval;
-    options.maintain.drift_bound = config.stream_refine_bound >= 0.0
-                                       ? config.stream_refine_bound
-                                       : -1.0;
-    options.maintain.poll_interval_seconds = 0.002;
-    options.maintain.retain_epochs = config.retain_epochs;
-  }
+  options.auto_maintain =
+      config.maintain_policy == ScenarioMaintainPolicy::kAuto;
+  // stream_seal_records = 0 means "every batch": after an ingest that is
+  // a 1-record cadence — unless seal_interval was given (auto only), in
+  // which case 0 disables the record cadence so the wall clock alone
+  // governs (interval-only policies stay expressible).
+  options.maintain.seal_records =
+      config.stream_seal_records > 0
+          ? config.stream_seal_records
+          : (config.seal_interval > 0.0 ? 0 : 1);
+  options.maintain.seal_interval_seconds = config.seal_interval;
+  options.maintain.drift_bound = config.stream_refine_bound >= 0.0
+                                     ? config.stream_refine_bound
+                                     : -1.0;
+  options.maintain.poll_interval_seconds = 0.002;
+  options.maintain.retain_epochs = config.retain_epochs;
   return options;
 }
 
@@ -915,8 +916,9 @@ Result<FairIndexServiceOptions> MakeServiceOptions(
 // warmup prefix builds the maintained partition, and the tail streams
 // through a FairIndexService (ingest batches, epoch seals, drift-bounded
 // refines) — the scenario-file form of `fairidx_cli stream`. With
-// maintain_policy = auto the service's background scheduler owns the
-// seal/refine cadence and the loop below only ingests.
+// maintain_policy = auto the service's background loop owns the
+// seal/refine cadence and the loop below only ingests; with caller it
+// ticks a scheduler on the same policy itself after each batch.
 Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
                                             const Dataset& dataset,
                                             const Classifier& prototype,
@@ -925,9 +927,6 @@ Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
                            MakeStreamFeed(config, dataset, prototype, run));
   FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions service_options,
                            MakeServiceOptions(config, run));
-  const bool refine = config.stream_refine_bound >= 0.0;
-  const bool auto_maintain =
-      config.maintain_policy == ScenarioMaintainPolicy::kAuto;
 
   const auto start = std::chrono::steady_clock::now();
   FAIRIDX_ASSIGN_OR_RETURN(
@@ -935,6 +934,8 @@ Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
       FairIndexService::Create(dataset.grid(),
                                feed.all.Slice(0, feed.warmup),
                                service_options));
+  MaintenanceScheduler caller_maintenance(service.get(),
+                                          service_options.maintain);
 
   for (size_t next = feed.warmup; next < feed.total;) {
     const size_t end = std::min(
@@ -942,21 +943,13 @@ Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
     FAIRIDX_RETURN_IF_ERROR(
         service->Ingest(feed.all.Slice(next, end)).status());
     next = end;
-    if (auto_maintain) continue;  // The background scheduler maintains.
-    if (service->store().pending_records() >= config.stream_seal_records) {
-      if (refine) {
-        FAIRIDX_RETURN_IF_ERROR(service->MaybeRefine().status());
-      } else {
-        FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
-      }
-      if (config.retain_epochs > 0) {
-        service->ApplyRetention(config.retain_epochs);
-      }
+    if (!service_options.auto_maintain && caller_maintenance.TickNow()) {
+      FAIRIDX_RETURN_IF_ERROR(caller_maintenance.last_error());
     }
   }
-  // Quiesce before the final audit: stop the scheduler (joins any
+  // Quiesce before the final audit: stop the background loop (joins any
   // in-flight pass), then seal the tail.
-  if (auto_maintain) service->StopMaintenance();
+  service->StopMaintenance();
   FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
   const std::vector<RegionAggregate> final_regions =
       service->QueryRegions();
@@ -1022,27 +1015,82 @@ std::vector<Point> MakeZipfPoints(const Grid& grid, double s,
   return points;
 }
 
-// One serve worker's pre-built traffic and its measurements.
+// One closed-loop serving worker's pre-built traffic and measurements
+// (serve readers and multi-tenant workers alike).
 struct ServeWorker {
   /// Pre-generated lookup points (serve_lookups of them).
   std::vector<Point> points;
-  /// This worker's round-robin share of the ingest tail.
+  /// This worker's share of the ingest tail.
   std::vector<AggregateBatch> write_batches;
   /// Steady-state LookupMany call latencies (first 10% of calls are
   /// cache/JIT warmup and excluded).
   std::vector<double> latencies_us;
   long long lookups = 0;
+  /// Wall-clock seconds the whole loop took, drain included.
+  double seconds = 0.0;
   Status status = Status::Ok();
 };
 
+// The one closed-loop serving worker. Each step flips the read-pct coin:
+// a write hands the next owned batch to `ingest`, a read answers the next
+// serve_batch points with one LookupMany against `service` and records
+// its latency. Closed loop: exactly one operation in flight, so a slow
+// lookup delays only this worker's next send — the latency histogram
+// measures service time without the coordinated-omission distortion an
+// open-loop generator would need correcting for (see
+// docs/benchmarking.md). Leftover batches always drain (the whole tail,
+// for a pure ingester with no lookup points), so the final record count
+// is deterministic.
+void RunServeWorker(
+    const FairIndexService& service,
+    const std::function<Result<long long>(AggregateBatch)>& ingest,
+    int read_pct, size_t batch, Rng& coin, ServeWorker& me) {
+  const size_t calls = (me.points.size() + batch - 1) / batch;
+  const size_t warmup_calls = calls / 10;
+  std::vector<PointLookupResult> out(batch);
+  const auto t_begin = std::chrono::steady_clock::now();
+  size_t write_next = 0;
+  size_t call = 0;
+  for (size_t off = 0; off < me.points.size();) {
+    const bool write =
+        write_next < me.write_batches.size() &&
+        static_cast<int>(coin.NextBounded(100)) >= read_pct;
+    if (write) {
+      Result<long long> seq = ingest(std::move(me.write_batches[write_next]));
+      if (!seq.ok()) {
+        me.status = seq.status();
+        return;
+      }
+      ++write_next;
+      continue;
+    }
+    const size_t len = std::min(batch, me.points.size() - off);
+    const auto t0 = std::chrono::steady_clock::now();
+    service.LookupMany(Span<Point>(me.points.data() + off, len), out.data());
+    const auto t1 = std::chrono::steady_clock::now();
+    if (call >= warmup_calls) {
+      me.latencies_us.push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+    ++call;
+    me.lookups += static_cast<long long>(len);
+    off += len;
+  }
+  for (; write_next < me.write_batches.size(); ++write_next) {
+    Result<long long> seq = ingest(std::move(me.write_batches[write_next]));
+    if (!seq.ok()) {
+      me.status = seq.status();
+      return;
+    }
+  }
+  me.seconds = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t_begin)
+                   .count();
+}
+
 // One serve sweep point: the stream preamble builds the service
-// (maintain_policy = auto, so the background scheduler owns seals and
-// refines), then serve_readers threads run a closed-loop mix of batched
-// point lookups and tail ingest against it. Closed loop: each worker
-// keeps exactly one operation in flight, so a slow lookup delays only
-// that worker's next send — the latency histogram measures service
-// time without the coordinated-omission distortion an open-loop
-// generator would need correcting for (see docs/benchmarking.md).
+// (maintain_policy = auto, so the background loop owns seals and
+// refines), then serve_readers threads run RunServeWorker against it.
 Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
                                           const Dataset& dataset,
                                           const Classifier& prototype,
@@ -1090,50 +1138,13 @@ Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
   threads.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w]() {
-      ServeWorker& me = state[static_cast<size_t>(w)];
-      Rng& coin = coins[static_cast<size_t>(w)];
-      const size_t batch = static_cast<size_t>(config.serve_batch);
-      const size_t calls = (me.points.size() + batch - 1) / batch;
-      const size_t warmup_calls = calls / 10;
-      std::vector<PointLookupResult> out(batch);
-      size_t write_next = 0;
-      size_t call = 0;
-      for (size_t off = 0; off < me.points.size();) {
-        const bool write =
-            write_next < me.write_batches.size() &&
-            static_cast<int>(coin.NextBounded(100)) >= config.serve_read_pct;
-        if (write) {
-          Result<long long> seq =
-              service->Ingest(std::move(me.write_batches[write_next]));
-          if (!seq.ok()) {
-            me.status = seq.status();
-            return;
-          }
-          ++write_next;
-          continue;
-        }
-        const size_t len = std::min(batch, me.points.size() - off);
-        const auto t0 = std::chrono::steady_clock::now();
-        service->LookupMany(Span<Point>(me.points.data() + off, len),
-                            out.data());
-        const auto t1 = std::chrono::steady_clock::now();
-        if (call >= warmup_calls) {
-          me.latencies_us.push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-        }
-        ++call;
-        me.lookups += static_cast<long long>(len);
-        off += len;
-      }
-      // Drain the leftover tail share.
-      for (; write_next < me.write_batches.size(); ++write_next) {
-        Result<long long> seq =
-            service->Ingest(std::move(me.write_batches[write_next]));
-        if (!seq.ok()) {
-          me.status = seq.status();
-          return;
-        }
-      }
+      RunServeWorker(
+          *service,
+          [&](AggregateBatch batch) {
+            return service->Ingest(std::move(batch));
+          },
+          config.serve_read_pct, static_cast<size_t>(config.serve_batch),
+          coins[static_cast<size_t>(w)], state[static_cast<size_t>(w)]);
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -1217,28 +1228,15 @@ ScenarioRun TenantEffectiveRun(const ScenarioRun& base,
   return run;
 }
 
-// One multi-tenant worker's pre-built traffic and measurements (the
-// ServeWorker shape, plus the per-tenant ingest throughput readout).
-struct TenantWorker {
-  std::vector<Point> points;
-  std::vector<AggregateBatch> write_batches;
-  std::vector<double> latencies_us;
-  long long lookups = 0;
-  long long tail_records = 0;
-  double seconds = 0.0;
-  Status status = Status::Ok();
-};
-
 // One multi-tenant sweep point: every tenant.<name>.* section becomes a
 // tenant of ONE TenantRegistry — its own grid/store/partition/WAL
 // namespace and per-tenant MaintenancePolicy, all maintained by the one
-// shared round-robin scheduler thread — and one worker thread per
-// tenant runs the serve-style closed loop against it (a tenant with
-// lookups = 0 just ingests flat out: the noisy neighbor). With a
-// wal_dir the point recovers-or-creates per tenant, resuming each
-// recovered tenant at the first record it never accepted; a tenant
-// whose recovery fails comes back as a "degraded" row while the others
-// keep serving.
+// shared round-robin maintenance loop — and one worker thread per
+// tenant runs RunServeWorker against it (a tenant with lookups = 0 just
+// ingests flat out: the noisy neighbor). With a wal_dir the point
+// recovers-or-creates per tenant, resuming each recovered tenant at the
+// first record it never accepted; a tenant whose recovery fails comes
+// back as a "degraded" row while the others keep serving.
 Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
     const ScenarioConfig& config, const Dataset& dataset,
     const Classifier& prototype, const ScenarioRun& run) {
@@ -1270,18 +1268,10 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
     FAIRIDX_ASSIGN_OR_RETURN(
         StreamFeed feed,
         MakeStreamFeed(eff, *data, prototype, eff_runs.back()));
-    // The registry owns the WAL namespace (<point root>/<tenant>), so
-    // MakeServiceOptions must not also carve a per-point subdirectory.
-    ScenarioConfig options_cfg = eff;
-    options_cfg.wal_dir.clear();
+    // The registry rewrites durability.wal_dir to its own namespace
+    // (<point root>/<tenant>); the other durability knobs stand.
     FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions options,
-                             MakeServiceOptions(options_cfg, eff_runs.back()));
-    if (!config.wal_dir.empty()) {
-      options.durability.checkpoint_interval = eff.checkpoint_interval;
-      options.durability.full_snapshot_interval = eff.full_snapshot_interval;
-      FAIRIDX_ASSIGN_OR_RETURN(options.durability.fsync,
-                               ParseWalFsync(eff.fsync));
-    }
+                             MakeServiceOptions(eff, eff_runs.back()));
     grids.push_back(data->grid());
     specs.push_back(TenantSpec{tenant.name, data->grid(),
                                feed.all.Slice(0, feed.warmup),
@@ -1310,7 +1300,8 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
   // recovered tenant resumes at the first record it never accepted
   // (records stream in feed order and every accepted record was logged
   // exactly once, so its store count IS the resume position).
-  std::vector<TenantWorker> workers(n);
+  std::vector<ServeWorker> workers(n);
+  std::vector<long long> tail_records(n, 0);
   std::vector<Rng> coins;
   coins.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -1332,81 +1323,36 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
       const size_t end = std::min(
           feeds[i].total, next + static_cast<size_t>(eff.stream_batch));
       workers[i].write_batches.push_back(feeds[i].all.Slice(next, end));
-      workers[i].tail_records += static_cast<long long>(end - next);
+      tail_records[i] += static_cast<long long>(end - next);
       next = end;
     }
   }
 
   FAIRIDX_RETURN_IF_ERROR(registry->StartMaintenance());
 
-  // One worker thread per serving tenant: the serve-style closed loop
-  // (batched LookupMany mixed with registry ingest on the read-pct
-  // coin; leftovers always drain), so every tenant's latency histogram
-  // measures ITS service time while the neighbors compete for the
-  // shared scheduler and CPU — the cross-tenant interference readout.
+  // One worker thread per serving tenant, ingesting through the
+  // registry, so every tenant's latency histogram measures ITS service
+  // time while the neighbors compete for the shared loop and CPU — the
+  // cross-tenant interference readout.
   std::vector<std::thread> threads;
   threads.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!registry->tenant(config.tenants[i].name).ok()) continue;
-    threads.emplace_back([&, i]() {
-      TenantWorker& me = workers[i];
-      const ScenarioConfig& eff = effs[i];
+    const auto service = registry->tenant(config.tenants[i].name);
+    if (!service.ok()) continue;
+    threads.emplace_back([&, i, tenant = *service]() {
       const std::string& name = config.tenants[i].name;
-      FairIndexService* service =
-          registry->tenant(name).value();  // Checked above.
-      Rng& coin = coins[i];
-      const size_t batch = static_cast<size_t>(config.serve_batch);
-      const size_t calls = (me.points.size() + batch - 1) / batch;
-      const size_t warmup_calls = calls / 10;
-      std::vector<PointLookupResult> out(batch);
-      const auto t_begin = std::chrono::steady_clock::now();
-      size_t write_next = 0;
-      size_t call = 0;
-      for (size_t off = 0; off < me.points.size();) {
-        const bool write =
-            write_next < me.write_batches.size() &&
-            static_cast<int>(coin.NextBounded(100)) >= eff.serve_read_pct;
-        if (write) {
-          Result<long long> seq =
-              registry->Ingest(name, std::move(me.write_batches[write_next]));
-          if (!seq.ok()) {
-            me.status = seq.status();
-            return;
-          }
-          ++write_next;
-          continue;
-        }
-        const size_t len = std::min(batch, me.points.size() - off);
-        const auto t0 = std::chrono::steady_clock::now();
-        service->LookupMany(Span<Point>(me.points.data() + off, len),
-                            out.data());
-        const auto t1 = std::chrono::steady_clock::now();
-        if (call >= warmup_calls) {
-          me.latencies_us.push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-        }
-        ++call;
-        me.lookups += static_cast<long long>(len);
-        off += len;
-      }
-      // Drain the leftover tail (and the whole tail, for a pure
-      // ingester with no lookup points).
-      for (; write_next < me.write_batches.size(); ++write_next) {
-        Result<long long> seq =
-            registry->Ingest(name, std::move(me.write_batches[write_next]));
-        if (!seq.ok()) {
-          me.status = seq.status();
-          return;
-        }
-      }
-      me.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t_begin)
-                       .count();
+      RunServeWorker(
+          *tenant,
+          [&](AggregateBatch batch) {
+            return registry->Ingest(name, std::move(batch));
+          },
+          effs[i].serve_read_pct, static_cast<size_t>(config.serve_batch),
+          coins[i], workers[i]);
     });
   }
   for (std::thread& thread : threads) thread.join();
-  // Quiesce the shared scheduler (joins any in-flight pass) before the
-  // final audit seals.
+  // Quiesce the shared loop (joins any in-flight pass) before the final
+  // audit seals.
   registry->StopMaintenance();
 
   const std::vector<TenantStatus> statuses = registry->statuses();
@@ -1441,7 +1387,7 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
       row.read_qps =
           static_cast<double>(workers[i].lookups) / workers[i].seconds;
       row.ingest_rps =
-          static_cast<double>(workers[i].tail_records) / workers[i].seconds;
+          static_cast<double>(tail_records[i]) / workers[i].seconds;
     }
     row.final_ence = RegionEnce(final_regions).ence;
     rows.push_back(std::move(row));

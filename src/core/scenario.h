@@ -32,11 +32,12 @@
 //   stream_seal_records = 0         stream: seal when this many records
 //                                   are pending (0: seal every batch)
 //   maintain_policy = caller        stream: who runs maintenance.
-//                    | auto         caller (default) seals/refines from
-//                                   the ingest loop; auto starts the
-//                                   service-owned background scheduler
+//                    | auto         caller (default) ticks the
+//                                   maintenance policy from the ingest
+//                                   loop; auto starts the service-owned
+//                                   background maintenance loop
 //                                   (service/maintenance_scheduler.h) and
-//                                   the loop only ingests
+//                                   the ingest loop only ingests
 //   seal_interval = 0.05            stream+auto: background wall-clock
 //                                   seal cadence in seconds (0: record
 //                                   cadence only; with it set and
@@ -103,7 +104,7 @@
 // `workload = multi_tenant` hosts every `tenant.<name>.*` section in ONE
 // TenantRegistry (service/tenant_registry.h): per-tenant grids, stores,
 // partitions and WAL namespaces under <wal_dir>/<point>/<tenant>/, one
-// shared round-robin maintenance thread, one worker thread per tenant
+// shared round-robin maintenance loop, one worker thread per tenant
 // driving a serve-style closed loop (a tenant with lookups = 0 ingests
 // flat out — the noisy neighbor). Rows report per-tenant p50/p99 lookup
 // latency and ingest throughput, so cross-tenant interference is read
@@ -164,7 +165,7 @@ enum class ScenarioWorkload {
   /// Multi-tenant serving: every tenant.<name>.* section becomes one
   /// tenant of a shared TenantRegistry (per-tenant grid, store,
   /// partition, WAL namespace and maintenance policy; one shared
-  /// round-robin scheduler thread). One worker per tenant runs a
+  /// round-robin maintenance loop). One worker per tenant runs a
   /// serve-style closed loop; lookups = 0 makes that tenant a pure
   /// ingester (the noisy neighbor). Requires maintain_policy = auto.
   kMultiTenant,

@@ -31,79 +31,18 @@ namespace {
 constexpr size_t kE = kAggregateEntryDoubles;
 
 // ---------------------------------------------------------------------
-// SSE2 tier: two 2-double lanes. SSE2 is baseline on x86-64, so these
-// compile without a target attribute.
-// ---------------------------------------------------------------------
-
-void CornerCombineSse2(const double* p11, const double* p01,
-                       const double* p10, const double* p00, double* out) {
-  for (int h = 0; h < 4; h += 2) {
-    const __m128d v = _mm_add_pd(
-        _mm_sub_pd(_mm_sub_pd(_mm_loadu_pd(p11 + h), _mm_loadu_pd(p01 + h)),
-                   _mm_loadu_pd(p10 + h)),
-        _mm_loadu_pd(p00 + h));
-    _mm_storeu_pd(out + h, v);
-  }
-  out[4] = ((p11[4] - p01[4]) - p10[4]) + p00[4];
-}
-
-void IntegrateCellsSse2(double* entries, const double* north, size_t n) {
-  double* e = entries;
-  const double* nr = north;
-  // The west neighbour of cell i is exactly the value stored for cell
-  // i-1, so it rides in registers across iterations instead of being
-  // re-loaded — same values, same operation order (bit-identical), but
-  // the critical-path load (which would have to store-forward a value
-  // stored one iteration ago, at a 40-byte stride that splits cache
-  // lines) disappears. Only the first cell loads its west entry: the
-  // already-integrated border column / previous chunk tail.
-  __m128d w01 = _mm_loadu_pd(e - kE);
-  __m128d w23 = _mm_loadu_pd(e - kE + 2);
-  double w4 = e[-1];
-  for (size_t i = 0; i < n; ++i, e += kE, nr += kE) {
-    const double* nw = nr - kE;
-    // cell_abs derives from the RAW per-cell sums, before the adds below
-    // overwrite lanes 1/2 with prefix values.
-    const double cell_abs = std::abs(e[1] - e[2]);
-    w01 = _mm_add_pd(
-        _mm_loadu_pd(e),
-        _mm_sub_pd(_mm_add_pd(w01, _mm_loadu_pd(nr)), _mm_loadu_pd(nw)));
-    w23 = _mm_add_pd(
-        _mm_loadu_pd(e + 2),
-        _mm_sub_pd(_mm_add_pd(w23, _mm_loadu_pd(nr + 2)),
-                   _mm_loadu_pd(nw + 2)));
-    _mm_storeu_pd(e, w01);
-    _mm_storeu_pd(e + 2, w23);
-    w4 = cell_abs + ((w4 + nr[4]) - nw[4]);
-    e[4] = w4;
-  }
-}
-
-// ---------------------------------------------------------------------
 // AVX2 tier: one 4-double lane over the vector fields. Compiled for
 // avx2 regardless of the global flags (target attribute, the Crc32c
 // pattern); only called after runtime detection confirms support. The
 // target string deliberately excludes "fma".
 // ---------------------------------------------------------------------
 
-__attribute__((target("avx2"))) void CornerCombineAvx2(
-    const double* p11, const double* p01, const double* p10,
-    const double* p00, double* out) {
-  const __m256d v = _mm256_add_pd(
-      _mm256_sub_pd(_mm256_sub_pd(_mm256_loadu_pd(p11), _mm256_loadu_pd(p01)),
-                    _mm256_loadu_pd(p10)),
-      _mm256_loadu_pd(p00));
-  _mm256_storeu_pd(out, v);
-  out[4] = ((p11[4] - p01[4]) - p10[4]) + p00[4];
-}
-
 // The sweep-hot children kernels are deliberately lean: one entry point
 // per axis (the sweep caches the pointer at construction, so no per-call
 // axis branch), all five fields unconditionally (partial masks stay on
 // the scalar macros), straight loads/stores. At SSE2 width gcc
 // auto-vectorizes the inlined scalar macros into equivalent packed code,
-// so only the extra AVX2 width buys back more than the call costs —
-// which is why the SSE2 table leaves these null.
+// so only the extra AVX2 width buys back more than the call costs.
 
 __attribute__((target("avx2"))) void ChildrenAxis0Avx2(const double* a,
                                                        const double* b,
@@ -158,13 +97,19 @@ __attribute__((target("avx2"))) void IntegrateCellsAvx2(
     double* entries, const double* north, size_t n) {
   double* e = entries;
   const double* nr = north;
-  // West rides in registers across iterations (see the SSE2 kernel):
-  // same values and operation order, no critical-path reload of the
-  // value stored one iteration ago.
+  // The west neighbour of cell i is exactly the value stored for cell
+  // i-1, so it rides in registers across iterations instead of being
+  // re-loaded — same values, same operation order (bit-identical), but
+  // the critical-path load (which would have to store-forward a value
+  // stored one iteration ago, at a 40-byte stride that splits cache
+  // lines) disappears. Only the first cell loads its west entry: the
+  // already-integrated border column / previous chunk tail.
   __m256d w = _mm256_loadu_pd(e - kE);
   double w4 = e[-1];
   for (size_t i = 0; i < n; ++i, e += kE, nr += kE) {
     const double* nw = nr - kE;
+    // cell_abs derives from the RAW per-cell sums, before the add below
+    // overwrites lanes 1/2 with prefix values.
     const double cell_abs = std::abs(e[1] - e[2]);
     w = _mm256_add_pd(
         _mm256_loadu_pd(e),
@@ -176,19 +121,10 @@ __attribute__((target("avx2"))) void IntegrateCellsAvx2(
   }
 }
 
-}  // namespace
-
-namespace {
-// SSE2 leaves the children pointers null: gcc already auto-vectorizes
-// the inlined scalar macros to SSE2 width, so an out-of-line call can
-// only lose there.
-constexpr AggregateKernels kSse2Kernels = {CornerCombineSse2,
-                                           IntegrateCellsSse2, nullptr,
-                                           nullptr};
-constexpr AggregateKernels kAvx2Kernels = {CornerCombineAvx2,
-                                           IntegrateCellsAvx2,
+constexpr AggregateKernels kAvx2Kernels = {IntegrateCellsAvx2,
                                            ChildrenAxis0Avx2,
                                            ChildrenAxis1Avx2};
+
 }  // namespace
 #endif  // FAIRIDX_AGGREGATE_KERNELS_X86
 
@@ -196,14 +132,7 @@ namespace {
 
 const AggregateKernels* DetectKernels() {
 #if defined(FAIRIDX_AGGREGATE_KERNELS_X86)
-  switch (DetectedSimdTier()) {
-    case SimdTier::kAvx2:
-      return &kAvx2Kernels;
-    case SimdTier::kSse2:
-      return &kSse2Kernels;
-    case SimdTier::kScalar:
-      break;
-  }
+  if (DetectedSimdTier() == SimdTier::kAvx2) return &kAvx2Kernels;
 #endif
   return nullptr;
 }

@@ -1,14 +1,17 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Runtime-dispatched SIMD kernels for the five-double aggregate entries
+// Runtime-dispatched AVX2 kernels for the five-double aggregate entries
 // behind GridAggregates ({count, labels, scores, residuals, cell_abs};
-// see geo/grid_aggregates.h). Three hot loops bottom out here:
+// see geo/grid_aggregates.h). Two hot loops bottom out here:
 //
 //   * SplitSweep::Children — Algorithm 2's per-offset corner expression,
-//   * Query / QueryMany    — the 4-corner rectangle combine,
 //   * IntegrateSlots       — the O(UV) prefix integration every build,
 //                            fold and seal pays.
+//
+// Query / QueryMany's 4-corner combine stays scalar: a vector kernel tied
+// the scalar expression there. Dispatch is AVX2 or scalar; an SSE2 tier
+// measured within noise of scalar and was dropped.
 //
 // Dispatch follows the Crc32c pattern in common/binary_io.cc: one
 // detection through common/cpu_features.h (FAIRIDX_FORCE_SCALAR pins the
@@ -40,10 +43,6 @@ inline constexpr size_t kAggregateEntryDoubles = 5;
 /// 5-double entries laid out {count, labels, scores, residuals,
 /// cell_abs}.
 struct AggregateKernels {
-  /// Query's rectangle combine: out = ((p11 - p01) - p10) + p00 for all
-  /// five fields, in that association order.
-  void (*corner_combine)(const double* p11, const double* p01,
-                         const double* p10, const double* p00, double* out);
   /// Integrates `n` consecutive prefix-row entries in place. Per entry e:
   ///   e.cell_abs = |e.labels - e.scores|          (from the RAW sums)
   ///   e.f       += (west.f + north.f) - northwest.f   (all five fields)
@@ -61,11 +60,7 @@ struct AggregateKernels {
   ///   left = ((a - c01) - b) + c00;  right = ((c11 - a) - c10) + b
   /// Axis 1:
   ///   left = ((a - b) - c10) + c00;  right = ((c11 - c01) - a) + b
-  /// — the scalar macros' exact association order per field. Either
-  /// pointer may be null even in a non-null table: at SSE2 width the
-  /// compiler auto-vectorizes the inlined scalar macros into equivalent
-  /// code, so an out-of-line call would only add overhead; the kernels
-  /// exist where extra vector width (AVX2) beats the call cost. Partial
+  /// — the scalar macros' exact association order per field. Partial
   /// field masks always take the scalar macro path.
   void (*children_axis0)(const double* a, const double* b,
                          const double* corners, double* left, double* right);

@@ -52,6 +52,22 @@ inline void IntegrateSegment(const internal::AggregateKernels* kernels,
   }
 }
 
+// The rectangle combine: ((p11 - p01) - p10) + p00 per field, the one
+// association order Query and QueryMany share bit for bit.
+RegionAggregate CombineCorners(const PrefixEntry& p11, const PrefixEntry& p01,
+                               const PrefixEntry& p10,
+                               const PrefixEntry& p00) {
+  RegionAggregate out;
+  out.count = p11.count - p01.count - p10.count + p00.count;
+  out.sum_labels = p11.labels - p01.labels - p10.labels + p00.labels;
+  out.sum_scores = p11.scores - p01.scores - p10.scores + p00.scores;
+  out.sum_residuals =
+      p11.residuals - p01.residuals - p10.residuals + p00.residuals;
+  out.sum_cell_abs_miscalibration =
+      p11.cell_abs - p01.cell_abs - p10.cell_abs + p00.cell_abs;
+  return out;
+}
+
 }  // namespace
 
 RegionAggregate& RegionAggregate::operator+=(const RegionAggregate& other) {
@@ -251,30 +267,11 @@ void GridAggregates::IntegrateWavefront(int num_threads) {
 }
 
 RegionAggregate GridAggregates::Query(const CellRect& rect) const {
-  RegionAggregate out;
-  if (rect.empty()) return out;
-  const PrefixEntry& p11 = EntryAt(rect.row_end, rect.col_end);
-  const PrefixEntry& p01 = EntryAt(rect.row_begin, rect.col_end);
-  const PrefixEntry& p10 = EntryAt(rect.row_end, rect.col_begin);
-  const PrefixEntry& p00 = EntryAt(rect.row_begin, rect.col_begin);
-  const internal::AggregateKernels* kernels =
-      internal::ActiveAggregateKernels();
-  if (kernels != nullptr) {
-    kernels->corner_combine(reinterpret_cast<const double*>(&p11),
-                            reinterpret_cast<const double*>(&p01),
-                            reinterpret_cast<const double*>(&p10),
-                            reinterpret_cast<const double*>(&p00),
-                            reinterpret_cast<double*>(&out));
-    return out;
-  }
-  out.count = p11.count - p01.count - p10.count + p00.count;
-  out.sum_labels = p11.labels - p01.labels - p10.labels + p00.labels;
-  out.sum_scores = p11.scores - p01.scores - p10.scores + p00.scores;
-  out.sum_residuals =
-      p11.residuals - p01.residuals - p10.residuals + p00.residuals;
-  out.sum_cell_abs_miscalibration =
-      p11.cell_abs - p01.cell_abs - p10.cell_abs + p00.cell_abs;
-  return out;
+  if (rect.empty()) return RegionAggregate{};
+  return CombineCorners(EntryAt(rect.row_end, rect.col_end),
+                        EntryAt(rect.row_begin, rect.col_end),
+                        EntryAt(rect.row_end, rect.col_begin),
+                        EntryAt(rect.row_begin, rect.col_begin));
 }
 
 void GridAggregates::QueryMany(Span<CellRect> rects,
@@ -284,12 +281,8 @@ void GridAggregates::QueryMany(Span<CellRect> rects,
   // dominate; issuing them together lets the core overlap them), the
   // second combines each rect's corners with arithmetic identical to
   // Query(), so every result matches the one-at-a-time path bit for bit.
-  // The combine pass runs through the dispatched kernel — same corner
-  // expression, four fields per vector op — when one is active.
   constexpr size_t kBlock = 16;
   const PrefixEntry* corners[4 * kBlock];
-  const internal::AggregateKernels* kernels =
-      internal::ActiveAggregateKernels();
   const size_t n = rects.size();
   for (size_t base = 0; base < n; base += kBlock) {
     const size_t block = std::min(kBlock, n - base);
@@ -318,30 +311,9 @@ void GridAggregates::QueryMany(Span<CellRect> rects,
       __builtin_prefetch(corners[4 * i + 3]);
 #endif
     }
-    if (kernels != nullptr) {
-      for (size_t i = 0; i < block; ++i) {
-        kernels->corner_combine(
-            reinterpret_cast<const double*>(corners[4 * i + 0]),
-            reinterpret_cast<const double*>(corners[4 * i + 1]),
-            reinterpret_cast<const double*>(corners[4 * i + 2]),
-            reinterpret_cast<const double*>(corners[4 * i + 3]),
-            reinterpret_cast<double*>(&out[base + i]));
-      }
-      continue;
-    }
     for (size_t i = 0; i < block; ++i) {
-      const PrefixEntry& p11 = *corners[4 * i + 0];
-      const PrefixEntry& p01 = *corners[4 * i + 1];
-      const PrefixEntry& p10 = *corners[4 * i + 2];
-      const PrefixEntry& p00 = *corners[4 * i + 3];
-      RegionAggregate& agg = out[base + i];
-      agg.count = p11.count - p01.count - p10.count + p00.count;
-      agg.sum_labels = p11.labels - p01.labels - p10.labels + p00.labels;
-      agg.sum_scores = p11.scores - p01.scores - p10.scores + p00.scores;
-      agg.sum_residuals =
-          p11.residuals - p01.residuals - p10.residuals + p00.residuals;
-      agg.sum_cell_abs_miscalibration =
-          p11.cell_abs - p01.cell_abs - p10.cell_abs + p00.cell_abs;
+      out[base + i] = CombineCorners(*corners[4 * i + 0], *corners[4 * i + 1],
+                                     *corners[4 * i + 2], *corners[4 * i + 3]);
     }
   }
 }

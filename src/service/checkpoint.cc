@@ -20,6 +20,10 @@ constexpr uint32_t kCheckpointMagic = 0x4658434Bu;  // "FXCK"
 constexpr uint32_t kCheckpointVersion = 1;
 constexpr uint32_t kDeltaCheckpointMagic = 0x46584443u;  // "FXDC"
 constexpr uint32_t kDeltaCheckpointVersion = 1;
+// Encoded sizes of the counted body items: five f64 sums per cell, four
+// i32 bounds per region rect.
+constexpr size_t kCellSumBytes = 5 * sizeof(double);
+constexpr size_t kRectBytes = 4 * sizeof(int32_t);
 
 std::string JoinPath(const std::string& dir, const std::string& name) {
   if (dir.empty()) return name;
@@ -86,6 +90,10 @@ Result<CheckpointData> ParseBody(const std::string& body,
     return DataLossError("checkpoint " + path +
                          ": cell-sum count disagrees with grid shape");
   }
+  if (!in.Fits(num_cells, kCellSumBytes)) {
+    return DataLossError("checkpoint " + path +
+                         ": cell-sum count exceeds the body");
+  }
   data.cell_sums.reserve(static_cast<size_t>(num_cells));
   for (uint64_t i = 0; i < num_cells; ++i) {
     GridAggregates::PrefixEntry entry;
@@ -108,6 +116,10 @@ Result<CheckpointData> ParseBody(const std::string& body,
                          ": partition cell count disagrees with grid");
   }
   FAIRIDX_ASSIGN_OR_RETURN(const int32_t num_regions, partition_in.ReadI32());
+  if (!partition_in.Fits(map_cells, sizeof(int32_t))) {
+    return DataLossError("checkpoint " + path +
+                         ": partition cell count exceeds the body");
+  }
   std::vector<int> cell_to_region;
   cell_to_region.reserve(static_cast<size_t>(map_cells));
   for (uint64_t i = 0; i < map_cells; ++i) {
@@ -122,6 +134,10 @@ Result<CheckpointData> ParseBody(const std::string& body,
   }
   data.partition = std::move(*partition);
   FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_rects, in.ReadU64());
+  if (!in.Fits(num_rects, kRectBytes)) {
+    return DataLossError("checkpoint " + path +
+                         ": region count exceeds the body");
+  }
   data.regions.reserve(static_cast<size_t>(num_rects));
   for (uint64_t i = 0; i < num_rects; ++i) {
     CellRect rect;
@@ -194,6 +210,10 @@ Result<CheckpointDelta> ParseDeltaBody(const std::string& body,
     return DataLossError("checkpoint " + path +
                          ": more dirty cells than grid cells");
   }
+  if (!in.Fits(num_dirty, sizeof(uint32_t) + kCellSumBytes)) {
+    return DataLossError("checkpoint " + path +
+                         ": dirty-cell count exceeds the body");
+  }
   delta.cells.reserve(static_cast<size_t>(num_dirty));
   delta.sums.reserve(static_cast<size_t>(num_dirty));
   for (uint64_t i = 0; i < num_dirty; ++i) {
@@ -214,6 +234,10 @@ Result<CheckpointDelta> ParseDeltaBody(const std::string& body,
     delta.sums.push_back(entry);
   }
   FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_rects, in.ReadU64());
+  if (!in.Fits(num_rects, kRectBytes)) {
+    return DataLossError("checkpoint " + path +
+                         ": region count exceeds the body");
+  }
   delta.regions.reserve(static_cast<size_t>(num_rects));
   for (uint64_t i = 0; i < num_rects; ++i) {
     CellRect rect;

@@ -269,12 +269,9 @@ Status FairIndexService::ReplayWalTail(
 Result<long long> FairIndexService::Ingest(AggregateBatch batch) {
   FAIRIDX_ASSIGN_OR_RETURN(const long long seq,
                            store_->Ingest(std::move(batch)));
-  // Wake the background scheduler (if any) so record-count cadences react
-  // to this batch now instead of at the next poll.
-  {
-    std::lock_guard<std::mutex> lock(scheduler_mutex_);
-    if (scheduler_) scheduler_->NotifyIngest();
-  }
+  // Wake the background loop (if any) so record-count cadences react to
+  // this batch now instead of at the next poll.
+  loop_.Notify();
   return seq;
 }
 
@@ -393,33 +390,26 @@ long long FairIndexService::publications_fallback() const {
 }
 
 Status FairIndexService::StartMaintenance(const MaintenancePolicy& policy) {
-  if (policy.seal_records <= 0 && policy.seal_interval_seconds <= 0.0) {
-    return InvalidArgumentError(
-        "FairIndexService: maintenance policy would never act (enable "
-        "seal_records or seal_interval_seconds)");
-  }
-  if (!(policy.poll_interval_seconds > 0.0)) {
-    return InvalidArgumentError(
-        "FairIndexService: poll_interval_seconds must be > 0");
+  const Status valid = ValidateMaintenancePolicy(policy);
+  if (!valid.ok()) {
+    return InvalidArgumentError("FairIndexService: " + valid.message());
   }
   std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  if (scheduler_ != nullptr && scheduler_->running()) {
+  if (loop_.running()) {
     return FailedPreconditionError(
         "FairIndexService: maintenance is already running");
   }
   scheduler_ = std::make_unique<MaintenanceScheduler>(this, policy);
-  scheduler_->Start();
+  MaintenanceScheduler* scheduler = scheduler_.get();
+  loop_.Start([scheduler] { scheduler->TickNow(); },
+              policy.poll_interval_seconds);
   return Status::Ok();
 }
 
-void FairIndexService::StopMaintenance() {
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  if (scheduler_ != nullptr) scheduler_->Stop();
-}
+void FairIndexService::StopMaintenance() { loop_.Stop(); }
 
 bool FairIndexService::maintenance_running() const {
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  return scheduler_ != nullptr && scheduler_->running();
+  return loop_.running();
 }
 
 MaintenanceStats FairIndexService::maintenance_stats() const {

@@ -19,9 +19,11 @@
 //   Ingest(batch)   any number of writer threads, concurrently
 //   Query*(...)     any number of reader threads, against the last sealed
 //                   epoch and the currently published partition
-//   Lookup*(...)    any number of reader threads, wait-free against the
-//                   published lookup snapshot (one shared_ptr load; the
-//                   snapshot can never be a torn partition/aggregate pair)
+//   Lookup*(...)    any number of reader threads, against the published
+//                   lookup snapshot. Each call takes regions_mutex_ briefly
+//                   to copy the snapshot's shared_ptr (so it is not
+//                   wait-free), then reads the immutable snapshot without
+//                   locks; it can never see a torn partition/aggregate pair
 //   MaybeRefine()   a maintenance thread: seals an epoch, re-splits the
 //                   subtrees whose calibration gap drifted past the bound
 //                   AGAINST THAT SEALED EPOCH, and atomically publishes
@@ -29,13 +31,14 @@
 //                   partition (and writers keep ingesting) for the whole
 //                   re-split; only the final publish swaps a pointer.
 //
-// MaybeRefine can be caller-driven, or owned by the service itself: a
-// MaintenancePolicy (service/maintenance_scheduler.h) seals by pending
-// record count or wall clock and refines on measured calibration drift
-// from a background thread, started via options.auto_maintain or
+// Maintenance is decided by a MaintenanceScheduler
+// (service/maintenance_scheduler.h): its MaintenancePolicy seals by
+// pending record count or wall clock and refines on measured calibration
+// drift. A caller can tick a scheduler itself, or let the service run one
+// on its MaintenanceLoop thread, started via options.auto_maintain or
 // StartMaintenance(). The scheduler only calls the public thread-safe
 // surface, so hands-off operation is behaviorally identical to a caller
-// running the same cadence.
+// ticking the same policy.
 //
 // Determinism: sealed epochs are bit-identical to a serial single-writer
 // replay (see sharded_delta_store.h), and every maintenance decision keys
@@ -107,12 +110,13 @@ struct FairIndexServiceOptions {
   ShardedDeltaStoreOptions store;
   /// Default drift bound for MaybeRefine().
   KdRefineOptions refine;
-  /// Start the background maintenance thread on Create (hands-off
+  /// Start the background maintenance loop on Create (hands-off
   /// serving: the service seals and refines per `maintain`, no caller
   /// MaybeRefine needed).
   bool auto_maintain = false;
-  /// Policy for the background thread (used only with auto_maintain or
-  /// an explicit StartMaintenance call).
+  /// Maintenance policy: what the background loop runs (auto_maintain or
+  /// an explicit StartMaintenance call), and what a caller-driven
+  /// scheduler built from these options ticks.
   MaintenancePolicy maintain;
   /// Write-ahead logging + checkpoints (disabled while wal_dir is empty).
   DurabilityOptions durability;
@@ -216,12 +220,13 @@ class FairIndexService {
   /// Subtree re-splits published over the service's lifetime.
   long long total_resplits() const;
 
-  /// Starts service-owned background maintenance under `policy`
-  /// (validated: at least one cadence enabled, positive poll interval).
-  /// Fails when a scheduler is already running.
+  /// Starts service-owned background maintenance: a MaintenanceLoop
+  /// over a fresh scheduler's TickNow() under `policy` (validated by
+  /// ValidateMaintenancePolicy). Fails when maintenance is already
+  /// running.
   Status StartMaintenance(const MaintenancePolicy& policy);
 
-  /// Stops and joins the background maintenance thread. Idempotent.
+  /// Stops and joins the background maintenance loop. Idempotent.
   void StopMaintenance();
 
   bool maintenance_running() const;
@@ -345,10 +350,13 @@ class FairIndexService {
   /// plain seals). Epoch-monotonic: only PublishMaintainedLocked swaps it.
   std::shared_ptr<const PointLookupIndex> lookup_;
 
-  /// Background maintenance (service-owned; optional). The scheduler only
-  /// calls public methods, so it layers strictly above the other state.
+  /// Background maintenance (service-owned; optional): the loop ticks
+  /// scheduler_, which only calls public methods, so both layer strictly
+  /// above the other state. scheduler_mutex_ guards the scheduler_
+  /// pointer; it is replaced only while the loop is stopped.
   mutable std::mutex scheduler_mutex_;
   std::unique_ptr<MaintenanceScheduler> scheduler_;
+  MaintenanceLoop loop_;
 };
 
 }  // namespace fairidx

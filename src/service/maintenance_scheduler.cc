@@ -14,45 +14,24 @@ std::chrono::duration<double> Seconds(double seconds) {
 
 }  // namespace
 
+Status ValidateMaintenancePolicy(const MaintenancePolicy& policy) {
+  if (policy.seal_records <= 0 && policy.seal_interval_seconds <= 0.0) {
+    return InvalidArgumentError(
+        "maintenance policy would never act (enable seal_records or "
+        "seal_interval_seconds)");
+  }
+  if (!(policy.poll_interval_seconds > 0.0)) {
+    return InvalidArgumentError(
+        "maintenance poll_interval_seconds must be > 0");
+  }
+  return Status::Ok();
+}
+
 MaintenanceScheduler::MaintenanceScheduler(FairIndexService* service,
                                            MaintenancePolicy policy)
     : service_(service),
       policy_(policy),
       last_pass_(std::chrono::steady_clock::now()) {}
-
-MaintenanceScheduler::~MaintenanceScheduler() { Stop(); }
-
-void MaintenanceScheduler::Start() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (running_) return;
-  stop_ = false;
-  notified_ = false;
-  running_ = true;
-  thread_ = std::thread(&MaintenanceScheduler::Run, this);
-}
-
-void MaintenanceScheduler::Stop() {
-  std::thread worker;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-    running_ = false;
-    worker = std::move(thread_);
-    wakeup_.notify_all();
-  }
-  if (worker.joinable()) worker.join();
-}
-
-bool MaintenanceScheduler::running() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return running_;
-}
-
-void MaintenanceScheduler::NotifyIngest() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  notified_ = true;
-  wakeup_.notify_all();
-}
 
 bool MaintenanceScheduler::Due(
     std::chrono::steady_clock::time_point now) const {
@@ -87,6 +66,7 @@ bool MaintenanceScheduler::TickNow() {
     ++stats_.refines;
     if (!refined.ok()) {
       ++stats_.errors;
+      last_error_ = refined.status();
     } else if (refined->stats.changed) {
       ++stats_.published;
       stats_.resplits += refined->stats.subtrees_rebuilt;
@@ -100,7 +80,10 @@ bool MaintenanceScheduler::TickNow() {
     const Result<long long> sealed = service_->Seal();
     std::lock_guard<std::mutex> lock(state_mutex_);
     ++stats_.passes;
-    if (!sealed.ok()) ++stats_.errors;
+    if (!sealed.ok()) {
+      ++stats_.errors;
+      last_error_ = sealed.status();
+    }
   }
   if (policy_.retain_epochs > 0) {
     // Retention rides the maintenance cadence: each pass seals at most one
@@ -115,19 +98,63 @@ bool MaintenanceScheduler::TickNow() {
   return true;
 }
 
+Status MaintenanceScheduler::last_error() const {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return last_error_;
+}
+
 MaintenanceStats MaintenanceScheduler::stats() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   return stats_;
 }
 
-void MaintenanceScheduler::Run() {
-  std::unique_lock<std::mutex> lock(mutex_);
+MaintenanceLoop::~MaintenanceLoop() { Stop(); }
+
+bool MaintenanceLoop::Start(std::function<void()> tick,
+                            double poll_interval_seconds) {
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
+  if (thread_.joinable()) return false;
+  {
+    std::lock_guard<std::mutex> lock(wakeup_mutex_);
+    stop_ = false;
+    notified_ = false;
+  }
+  thread_ = std::thread(&MaintenanceLoop::Run, this, std::move(tick),
+                        poll_interval_seconds);
+  return true;
+}
+
+void MaintenanceLoop::Stop() {
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
+  if (!thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(wakeup_mutex_);
+    stop_ = true;
+    wakeup_.notify_all();
+  }
+  thread_.join();
+}
+
+bool MaintenanceLoop::running() const {
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
+  return thread_.joinable();
+}
+
+void MaintenanceLoop::Notify() {
+  std::lock_guard<std::mutex> lock(wakeup_mutex_);
+  notified_ = true;
+  wakeup_.notify_all();
+}
+
+void MaintenanceLoop::Run(const std::function<void()>& tick,
+                          double poll_interval_seconds) {
+  std::unique_lock<std::mutex> lock(wakeup_mutex_);
   while (!stop_) {
     lock.unlock();
-    TickNow();
+    tick();
     lock.lock();
     if (stop_) break;
-    wakeup_.wait_for(lock, Seconds(policy_.poll_interval_seconds),
+    wakeup_.wait_for(lock, Seconds(poll_interval_seconds),
                      [this] { return stop_ || notified_; });
     notified_ = false;
   }

@@ -1,28 +1,37 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Service-owned background maintenance: the piece that turns
-// FairIndexService from "caller must remember to MaybeRefine" into a
-// hands-off serving system. A MaintenancePolicy names the cadence (seal
-// once N records are pending, or at least every T seconds while anything
-// is pending) and the action (drift-bounded MaybeRefine, or a plain Seal
-// when drift_bound < 0); a MaintenanceScheduler runs that policy on its
-// own thread against a service.
+// Service maintenance, decided and run in one place. A MaintenancePolicy
+// names the cadence (seal once N records are pending, or at least every T
+// seconds while anything is pending) and the action (drift-bounded
+// MaybeRefine, or a plain Seal when drift_bound < 0, then optional epoch
+// retention); a MaintenanceScheduler evaluates that policy against one
+// service, one TickNow() at a time.
 //
 // The scheduler only uses the service's public thread-safe surface —
-// store() counters to decide, MaybeRefine()/Seal() to act — so everything
-// it does is exactly what a caller-driven maintenance loop could have
-// done: epochs still seal at consistent batch boundaries, refines still
-// key off the epoch they seal, and readers keep serving the previously
-// published partition throughout. Ingest wakes the scheduler
-// (FairIndexService::Ingest calls NotifyIngest) so record-count cadences
-// react promptly; wall-clock cadences resolve at poll_interval_seconds.
+// store() counters to decide, MaybeRefine()/Seal()/ApplyRetention() to
+// act — so epochs still seal at consistent batch boundaries, refines
+// still key off the epoch they seal, and readers keep serving the
+// previously published partition throughout. Every maintenance path runs
+// the same scheduler code:
+//
+//   * caller-driven streams call TickNow() themselves after each ingest
+//     (`fairidx_cli stream`, stream scenarios with maintain_policy =
+//     caller);
+//   * FairIndexService::StartMaintenance runs a MaintenanceLoop over its
+//     scheduler's TickNow(); Ingest wakes the loop, so record-count
+//     cadences react promptly;
+//   * TenantRegistry::StartMaintenance runs a MaintenanceLoop over
+//     TickMaintenanceNow(), which ticks every tenant's scheduler.
+//
+// Wall-clock cadences resolve at poll_interval_seconds.
 
 #ifndef FAIRIDX_SERVICE_MAINTENANCE_SCHEDULER_H_
 #define FAIRIDX_SERVICE_MAINTENANCE_SCHEDULER_H_
 
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -32,8 +41,8 @@ namespace fairidx {
 
 class FairIndexService;
 
-/// When and how background maintenance acts. At least one cadence must be
-/// enabled (StartMaintenance validates).
+/// When and how maintenance acts. At least one cadence must be enabled
+/// for a MaintenanceLoop to run it (ValidateMaintenancePolicy).
 struct MaintenancePolicy {
   /// Act once this many records are pending (<= 0 disables the
   /// record-count cadence).
@@ -44,8 +53,8 @@ struct MaintenancePolicy {
   /// MaybeRefine drift bound for each pass; < 0 seals without refining
   /// (the published partition stays fixed).
   double drift_bound = 0.02;
-  /// Scheduler wakeup cadence — the resolution of the clock cadence and
-  /// the fallback poll when no ingest notification arrives.
+  /// Maintenance loop wakeup cadence — the resolution of the clock
+  /// cadence and the fallback poll when no ingest notification arrives.
   double poll_interval_seconds = 0.005;
   /// After each maintenance pass, drop sealed-snapshot history beyond the
   /// newest this many epochs (reader-pinned snapshots are always kept;
@@ -55,10 +64,14 @@ struct MaintenancePolicy {
   int retain_epochs = 0;
 };
 
+/// InvalidArgument unless `policy` can act on a background loop: at least
+/// one cadence enabled and a positive poll interval.
+Status ValidateMaintenancePolicy(const MaintenancePolicy& policy);
+
 /// Counters of everything a scheduler did (all monotone; readable while
-/// the thread runs).
+/// a loop ticks it).
 struct MaintenanceStats {
-  /// Policy evaluations (wakeups that checked the cadences).
+  /// Policy evaluations (ticks that checked the cadences).
   long long ticks = 0;
   /// Maintenance actions taken (seal-only passes + refine passes).
   long long passes = 0;
@@ -81,61 +94,78 @@ struct MaintenanceStats {
   long long errors = 0;
 };
 
-/// Runs one MaintenancePolicy against one service on a background thread.
-/// Create/Start via FairIndexService::StartMaintenance (which validates
-/// the policy and wires ingest notifications); Stop() joins and is
-/// idempotent. The referenced service must outlive the scheduler —
-/// FairIndexService guarantees this by stopping maintenance in its
-/// destructor before any member is torn down.
+/// Evaluates one MaintenancePolicy against one service. Owns no thread:
+/// callers tick it directly, or hand TickNow() to a MaintenanceLoop. The
+/// referenced service must outlive the scheduler.
 class MaintenanceScheduler {
  public:
   MaintenanceScheduler(FairIndexService* service, MaintenancePolicy policy);
-  ~MaintenanceScheduler();
 
   MaintenanceScheduler(const MaintenanceScheduler&) = delete;
   MaintenanceScheduler& operator=(const MaintenanceScheduler&) = delete;
 
-  /// Spawns the maintenance thread (no-op when already running).
-  void Start();
-
-  /// Signals the thread and joins it. Idempotent; safe without Start().
-  void Stop();
-
-  bool running() const;
-
-  /// Wakes the thread so a record-count cadence is evaluated now instead
-  /// of at the next poll.
-  void NotifyIngest();
-
-  /// One synchronous policy evaluation — what the thread runs per wakeup.
-  /// Public so drivers and tests can tick deterministically; thread-safe
-  /// against the background thread (the service serializes maintenance).
-  /// Returns true when a maintenance pass ran.
+  /// One synchronous policy evaluation: when a cadence is due, one
+  /// maintenance pass (refine or seal, then retention). Thread-safe (the
+  /// service serializes maintenance). Returns true when a pass ran.
   bool TickNow();
+
+  /// The error of the most recent failed pass (Ok when none failed) —
+  /// how caller-driven streams surface what a pass ran into.
+  Status last_error() const;
 
   MaintenanceStats stats() const;
   const MaintenancePolicy& policy() const { return policy_; }
 
  private:
-  void Run();
   /// True when either cadence is due given the pending-record count.
   bool Due(std::chrono::steady_clock::time_point now) const;
 
   FairIndexService* service_;
   const MaintenancePolicy policy_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable wakeup_;
-  bool stop_ = false;
-  bool notified_ = false;
-  bool running_ = false;
-  std::thread thread_;
-
-  /// Guards last_pass_ and stats_ (ticks may come from the thread and
-  /// from TickNow callers concurrently).
+  /// Guards last_pass_, stats_ and last_error_ (ticks may come from a
+  /// loop and from TickNow callers concurrently).
   mutable std::mutex state_mutex_;
   std::chrono::steady_clock::time_point last_pass_;
   MaintenanceStats stats_;
+  Status last_error_ = Status::Ok();
+};
+
+/// The one maintenance thread: runs `tick`, then waits up to the poll
+/// interval for a Notify(), and repeats until Stop(). Owners stop the
+/// loop before tearing down anything `tick` touches.
+class MaintenanceLoop {
+ public:
+  MaintenanceLoop() = default;
+  ~MaintenanceLoop();
+
+  MaintenanceLoop(const MaintenanceLoop&) = delete;
+  MaintenanceLoop& operator=(const MaintenanceLoop&) = delete;
+
+  /// Spawns the thread. Returns false, doing nothing, when it is already
+  /// running.
+  bool Start(std::function<void()> tick, double poll_interval_seconds);
+
+  /// Signals the thread and joins it. Idempotent; safe without Start().
+  void Stop();
+
+  bool running() const;
+
+  /// Wakes the thread so the next tick runs now instead of at the next
+  /// poll.
+  void Notify();
+
+ private:
+  void Run(const std::function<void()>& tick, double poll_interval_seconds);
+
+  /// Serializes Start/Stop (held across the join) and guards thread_.
+  mutable std::mutex lifecycle_mutex_;
+  std::thread thread_;
+
+  std::mutex wakeup_mutex_;
+  std::condition_variable wakeup_;
+  bool stop_ = false;
+  bool notified_ = false;
 };
 
 }  // namespace fairidx

@@ -25,7 +25,10 @@
 // are from the same sealed epoch by construction. FairIndexService
 // publishes fresh snapshots behind the same pointer-identity mechanism
 // as the region list (grab the shared_ptr once, answer everything from
-// it), so readers are wait-free with respect to seals and refines.
+// it). Taking the pin locks the service's regions_mutex_ briefly and
+// copies the shared_ptr, so readers are not wait-free; they never wait
+// on a seal or refine in progress, only on other pins and on the
+// publication swap.
 
 #ifndef FAIRIDX_SERVICE_POINT_LOOKUP_H_
 #define FAIRIDX_SERVICE_POINT_LOOKUP_H_

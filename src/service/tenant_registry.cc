@@ -1,7 +1,6 @@
 #include "service/tenant_registry.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "service/checkpoint.h"
@@ -23,21 +22,6 @@ Status ValidateTenantName(const std::string& name) {
           "TenantRegistry: tenant name '" + name +
           "' must match [A-Za-z0-9_-]+ (it names a directory)");
     }
-  }
-  return Status::Ok();
-}
-
-Status ValidateTenantPolicy(const std::string& name,
-                            const MaintenancePolicy& policy) {
-  if (policy.seal_records <= 0 && policy.seal_interval_seconds <= 0.0) {
-    return InvalidArgumentError(
-        "TenantRegistry: tenant '" + name +
-        "' maintenance policy would never act (enable seal_records or "
-        "seal_interval_seconds)");
-  }
-  if (!(policy.poll_interval_seconds > 0.0)) {
-    return InvalidArgumentError("TenantRegistry: tenant '" + name +
-                                "' poll_interval_seconds must be > 0");
   }
   return Status::Ok();
 }
@@ -73,7 +57,7 @@ Result<std::unique_ptr<TenantRegistry>> TenantRegistry::Build(
   std::unique_ptr<TenantRegistry> registry(new TenantRegistry());
   Status first_error = Status::Ok();
   for (TenantSpec& spec : specs) {
-    // The registry owns maintenance (one shared thread) and the WAL
+    // The registry owns maintenance (one shared loop) and the WAL
     // namespace; per-tenant options must not fight either.
     spec.options.auto_maintain = false;
     spec.options.durability.wal_dir =
@@ -139,13 +123,7 @@ Result<long long> TenantRegistry::Ingest(const std::string& tenant,
                                    "' is degraded: " + t->error.ToString());
   }
   Result<long long> seq = t->service->Ingest(std::move(batch));
-  if (seq.ok()) {
-    std::lock_guard<std::mutex> lock(maint_mutex_);
-    if (maint_running_) {
-      maint_notified_ = true;
-      maint_wakeup_.notify_one();
-    }
-  }
+  if (seq.ok()) loop_.Notify();
   return seq;
 }
 
@@ -190,42 +168,27 @@ Status TenantRegistry::StartMaintenance() {
   for (const std::unique_ptr<Tenant>& tenant : tenants_) {
     if (tenant->service == nullptr) continue;
     const MaintenancePolicy& policy = tenant->scheduler->policy();
-    FAIRIDX_RETURN_IF_ERROR(ValidateTenantPolicy(tenant->name, policy));
+    const Status valid = ValidateMaintenancePolicy(policy);
+    if (!valid.ok()) {
+      return InvalidArgumentError("TenantRegistry: tenant '" + tenant->name +
+                                  "': " + valid.message());
+    }
     poll = poll == 0.0 ? policy.poll_interval_seconds
                        : std::min(poll, policy.poll_interval_seconds);
   }
-  std::lock_guard<std::mutex> lock(maint_mutex_);
-  if (maint_running_) {
+  // The shared loop polls at the most demanding tenant's cadence, so
+  // every tenant's wall-clock policy resolves at least as often as its
+  // own dedicated loop would have.
+  if (!loop_.Start([this] { TickMaintenanceNow(); }, poll)) {
     return FailedPreconditionError(
         "TenantRegistry: maintenance is already running");
   }
-  maint_stop_ = false;
-  maint_notified_ = false;
-  maint_running_ = true;
-  // The shared thread polls at the most demanding tenant's cadence, so
-  // every tenant's wall-clock policy resolves at least as often as its
-  // own dedicated thread would have.
-  maint_poll_seconds_ = poll > 0.0 ? poll : 0.005;
-  maint_thread_ = std::thread([this] { MaintenanceRun(); });
   return Status::Ok();
 }
 
-void TenantRegistry::StopMaintenance() {
-  {
-    std::lock_guard<std::mutex> lock(maint_mutex_);
-    if (!maint_running_) return;
-    maint_stop_ = true;
-    maint_wakeup_.notify_one();
-  }
-  maint_thread_.join();
-  std::lock_guard<std::mutex> lock(maint_mutex_);
-  maint_running_ = false;
-}
+void TenantRegistry::StopMaintenance() { loop_.Stop(); }
 
-bool TenantRegistry::maintenance_running() const {
-  std::lock_guard<std::mutex> lock(maint_mutex_);
-  return maint_running_;
-}
+bool TenantRegistry::maintenance_running() const { return loop_.running(); }
 
 bool TenantRegistry::TickMaintenanceNow() {
   const size_t n = tenants_.size();
@@ -249,20 +212,6 @@ MaintenanceStats TenantRegistry::maintenance_stats(
   const Tenant* t = Find(tenant);
   if (t == nullptr || t->scheduler == nullptr) return MaintenanceStats{};
   return t->scheduler->stats();
-}
-
-void TenantRegistry::MaintenanceRun() {
-  std::unique_lock<std::mutex> lock(maint_mutex_);
-  while (!maint_stop_) {
-    maint_wakeup_.wait_for(
-        lock, std::chrono::duration<double>(maint_poll_seconds_),
-        [this] { return maint_stop_ || maint_notified_; });
-    maint_notified_ = false;
-    if (maint_stop_) break;
-    lock.unlock();
-    TickMaintenanceNow();
-    lock.lock();
-  }
 }
 
 }  // namespace fairidx

@@ -6,21 +6,22 @@
 // ShardedDeltaStore, published partition + PointLookupIndex snapshot,
 // and (when durability is on) its own WAL/checkpoint namespace under
 // `<wal_dir>/<tenant>/` — while all tenants share the global ThreadPool
-// and ONE background maintenance thread owned by the registry.
+// and ONE background MaintenanceLoop owned by the registry.
 //
-// The shared thread round-robins claim-then-act ticks across tenants:
-// every wakeup it walks the tenant table from a rotating start slot and
-// runs each tenant's own MaintenanceScheduler::TickNow() — the same
-// synchronous policy evaluation the single-tenant background thread
-// runs, against that tenant's per-tenant MaintenancePolicy (seal
-// cadence, drift bound, retention). Because TickNow only uses the
-// tenant service's public thread-safe surface, everything the shared
-// thread does is exactly what N dedicated per-tenant threads could have
-// done; tenants never observe each other except through CPU time. That
+// The shared loop runs TickMaintenanceNow(), which round-robins
+// claim-then-act ticks across tenants: every poll it walks the tenant
+// table from a rotating start slot and runs each tenant's own
+// MaintenanceScheduler::TickNow() — the same policy evaluation a
+// single-tenant service's loop runs, against that tenant's per-tenant
+// MaintenancePolicy (seal cadence, drift bound, retention). Because
+// TickNow only uses the tenant service's public thread-safe surface,
+// everything the shared loop does is exactly what N dedicated
+// per-tenant loops could have done; tenants never observe each other
+// except through CPU time. That
 // is the isolation contract tests/tenant_registry_test.cc pins: a
 // tenant's sealed snapshots, published partitions and recovery output
 // are bit-identical to an isolated single-tenant run with the same
-// inputs, at any shard count, with the shared scheduler live.
+// inputs, at any shard count, with the shared loop live.
 //
 // Recovery is per-tenant and fault-isolated: TenantRegistry::Recover
 // rebuilds every tenant whose namespace holds a checkpoint via
@@ -36,11 +37,8 @@
 #define FAIRIDX_SERVICE_TENANT_REGISTRY_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -51,7 +49,7 @@ namespace fairidx {
 /// One tenant's full configuration: a name (its identity and its
 /// durability namespace), a grid, the warmup batch that builds its
 /// initial partition, and the per-tenant service options — including
-/// the per-tenant MaintenancePolicy the shared scheduler runs for it.
+/// the per-tenant MaintenancePolicy the shared loop runs for it.
 struct TenantSpec {
   /// Unique within the registry; also the on-disk namespace directory,
   /// so only [A-Za-z0-9_-] is accepted (no path separators).
@@ -84,7 +82,7 @@ enum class TenantState {
   kServing,
   /// Recovery failed (corrupt WAL/checkpoint); the tenant holds no
   /// service, Ingest/tenant() return FailedPrecondition, and the
-  /// shared scheduler skips it. Its on-disk state is left untouched
+  /// shared loop skips it. Its on-disk state is left untouched
   /// for offline repair.
   kDegraded,
 };
@@ -101,7 +99,7 @@ struct TenantStatus {
 };
 
 /// Hosts N independent FairIndexService tenants behind one maintenance
-/// thread. All public methods are thread-safe; the tenant table itself
+/// loop. All public methods are thread-safe; the tenant table itself
 /// is immutable after Create/Recover (per-tenant mutation goes through
 /// each tenant's own thread-safe service).
 class TenantRegistry {
@@ -127,13 +125,13 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// Stops the shared maintenance thread before tearing down tenants.
+  /// Stops the shared maintenance loop before tearing down tenants.
   ~TenantRegistry();
 
-  /// Appends one batch to `tenant`'s store and wakes the shared
-  /// scheduler (record-count cadences react promptly, exactly like the
-  /// single-tenant ingest notification). FailedPrecondition for a
-  /// degraded tenant, NotFound for an unknown one.
+  /// Appends one batch to `tenant`'s store and wakes the shared loop
+  /// (record-count cadences react promptly, exactly like the
+  /// single-tenant ingest wake-up). FailedPrecondition for a degraded
+  /// tenant, NotFound for an unknown one.
   Result<long long> Ingest(const std::string& tenant, AggregateBatch batch);
 
   /// The tenant's service, for reads and direct maintenance
@@ -149,21 +147,21 @@ class TenantRegistry {
   /// Tenants currently serving (num_tenants() minus degraded ones).
   size_t num_serving() const;
 
-  /// Starts the ONE shared maintenance thread (validates every serving
-  /// tenant's policy the way FairIndexService::StartMaintenance does:
-  /// at least one cadence enabled, positive poll interval). Fails when
-  /// already running.
+  /// Starts the ONE shared maintenance loop over TickMaintenanceNow(),
+  /// polling at the smallest serving-tenant poll interval. Every serving
+  /// tenant's policy must pass ValidateMaintenancePolicy (the error
+  /// names the tenant). Fails when already running.
   Status StartMaintenance();
 
-  /// Stops and joins the shared thread. Idempotent.
+  /// Stops and joins the shared loop. Idempotent.
   void StopMaintenance();
 
   bool maintenance_running() const;
 
   /// One synchronous round-robin maintenance pass: runs TickNow() on
   /// every serving tenant's scheduler, starting from a rotating slot so
-  /// no tenant is permanently first in line. What the shared thread
-  /// runs per wakeup; public so drivers and tests can tick
+  /// no tenant is permanently first in line. What the shared loop
+  /// runs per poll; public so callers and tests can tick
   /// deterministically (the single-tenant TickNow contract, extended
   /// across the fleet). Returns true when any tenant's pass ran.
   bool TickMaintenanceNow();
@@ -176,9 +174,8 @@ class TenantRegistry {
     std::string name;
     /// Null while degraded.
     std::unique_ptr<FairIndexService> service;
-    /// The per-tenant policy evaluator the shared thread ticks. Never
-    /// Start()ed — the registry thread IS its thread. Null while
-    /// degraded.
+    /// The per-tenant policy evaluator the shared loop ticks. Null
+    /// while degraded.
     std::unique_ptr<MaintenanceScheduler> scheduler;
     Status error = Status::Ok();
     bool recovered = false;
@@ -195,8 +192,6 @@ class TenantRegistry {
 
   const Tenant* Find(const std::string& name) const;
 
-  void MaintenanceRun();
-
   /// Spec order; immutable after Build (pointers handed out by
   /// tenant() stay valid for the registry's lifetime).
   std::vector<std::unique_ptr<Tenant>> tenants_;
@@ -204,16 +199,7 @@ class TenantRegistry {
   /// Rotating start slot for the round-robin tick.
   std::atomic<size_t> next_tick_start_{0};
 
-  /// Shared maintenance thread state (same shape as the single-tenant
-  /// scheduler's: condvar wakeups from Ingest, poll fallback at the
-  /// minimum serving-tenant poll interval).
-  mutable std::mutex maint_mutex_;
-  std::condition_variable maint_wakeup_;
-  bool maint_stop_ = false;
-  bool maint_notified_ = false;
-  bool maint_running_ = false;
-  double maint_poll_seconds_ = 0.005;
-  std::thread maint_thread_;
+  MaintenanceLoop loop_;
 };
 
 }  // namespace fairidx

@@ -142,6 +142,12 @@ Result<WalRecord> ParseRecordPayload(const std::string& payload,
     FAIRIDX_ASSIGN_OR_RETURN(record.seq, in.ReadI64());
     FAIRIDX_ASSIGN_OR_RETURN(const uint32_t n, in.ReadU32());
     FAIRIDX_ASSIGN_OR_RETURN(const uint8_t has_residuals, in.ReadU8());
+    // Per record: cell i32 + label u8 + score f64 (+ residual f64).
+    if (!in.Fits(n, has_residuals ? 21 : 13)) {
+      return DataLossError("wal segment " + path + ": batch declares " +
+                           std::to_string(n) +
+                           " records, more than the record holds");
+    }
     record.batch.cell_ids.reserve(n);
     record.batch.labels.reserve(n);
     record.batch.scores.reserve(n);

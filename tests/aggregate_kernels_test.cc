@@ -109,7 +109,6 @@ std::vector<CellRect> AllRects(int rows, int cols) {
 
 TEST(CpuFeaturesTest, TierNamesAreStable) {
   EXPECT_STREQ("scalar", SimdTierName(SimdTier::kScalar));
-  EXPECT_STREQ("sse2", SimdTierName(SimdTier::kSse2));
   EXPECT_STREQ("avx2", SimdTierName(SimdTier::kAvx2));
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "fault_injection.h"
 #include "service/wal.h"
 
@@ -151,6 +152,43 @@ TEST(CheckpointTest, TruncatedFileIsRejectedWithByteCounts) {
   const Status status = ReadCheckpoint(path).status();
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   EXPECT_NE(status.message().find("truncated body"), std::string::npos)
+      << status;
+}
+
+// A full checkpoint whose body CRC is valid but declares 2^64-1 region
+// rects: the reader must answer DataLoss instead of attempting the
+// reserve (which throws out of a Status API).
+TEST(CheckpointTest, HostileRegionCountIsDataLossNotAnAllocation) {
+  const std::string dir = FreshDir("hostile_rects");
+  const CheckpointData data = MakeData(3);
+  ASSERT_TRUE(WriteCheckpoint(dir, data).ok());
+  auto listed = ListCheckpoints(dir);
+  ASSERT_TRUE(listed.ok());
+  const std::string path = (*listed)[0].path;
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    bytes = buffer.str();
+  }
+  // File = 16-byte frame header + body; the body ends with num_rects
+  // (u64), the rects (16 bytes each) and the blob (u64 length + bytes).
+  constexpr size_t kFrameHeader = 16;
+  const size_t num_rects_at = bytes.size() -
+                              (8 + data.maintained_blob.size()) -
+                              16 * data.regions.size() - 8;
+  bytes.replace(num_rects_at, 8, std::string(8, '\xff'));
+  BinaryWriter crc;
+  crc.PutU32(Crc32(bytes.data() + kFrameHeader, bytes.size() - kFrameHeader));
+  bytes.replace(12, 4, crc.buffer());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const Status status = ReadCheckpoint(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_NE(status.message().find("region count"), std::string::npos)
       << status;
 }
 

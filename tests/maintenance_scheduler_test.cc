@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -329,6 +331,94 @@ TEST(MaintenanceSchedulerTest, LongStreamKeepsSnapshotHistoryBounded) {
   EXPECT_EQ((*service)->store().history_size(), 3);
   EXPECT_EQ(scheduler.stats().epochs_retired,
             (*service)->store().epoch() + 1 - 3);
+}
+
+// Caller-driven maintenance differential: ticking a never-started
+// scheduler after every ingest is the same maintenance as the hand loop
+// callers used to write (seal or refine once `seal_records` are pending,
+// then apply retention). The hand loop stays here as the oracle: both
+// services must agree on epochs, published rects, sealed region
+// aggregates (bitwise) and re-split totals after every batch.
+TEST(MaintenanceSchedulerTest, CallerDrivenTickMatchesHandLoop) {
+  const Grid grid = MakeGrid(24, 24);
+  Rng rng(23);
+  const AggregateBatch warmup = RandomBatch(rng, grid, 600);
+  std::vector<AggregateBatch> batches;
+  for (int b = 0; b < 24; ++b) {
+    // Label drift concentrated in one block so refines re-split.
+    batches.push_back(RandomBatch(rng, grid, 200, /*label_bias=*/0.9,
+                                  /*block=*/10));
+  }
+  auto expect_same = [&](const FairIndexService& a,
+                         const FairIndexService& b, const std::string& at) {
+    EXPECT_EQ(a.store().epoch(), b.store().epoch()) << at;
+    EXPECT_EQ(a.store().pending_records(), b.store().pending_records())
+        << at;
+    EXPECT_EQ(a.store().history_size(), b.store().history_size()) << at;
+    EXPECT_EQ(a.total_resplits(), b.total_resplits()) << at;
+    const std::vector<CellRect>& ra = *a.regions();
+    const std::vector<CellRect>& rb = *b.regions();
+    ASSERT_EQ(ra.size(), rb.size()) << at;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].row_begin, rb[i].row_begin) << at;
+      EXPECT_EQ(ra[i].row_end, rb[i].row_end) << at;
+      EXPECT_EQ(ra[i].col_begin, rb[i].col_begin) << at;
+      EXPECT_EQ(ra[i].col_end, rb[i].col_end) << at;
+    }
+    const std::vector<RegionAggregate> qa = a.QueryRegions();
+    const std::vector<RegionAggregate> qb = b.QueryRegions();
+    ASSERT_EQ(qa.size(), qb.size()) << at;
+    EXPECT_EQ(0, std::memcmp(qa.data(), qb.data(),
+                             qa.size() * sizeof(RegionAggregate)))
+        << at;
+  };
+
+  long long refine_resplits = 0;
+  for (long long seal_records : {0LL, 500LL}) {
+    for (double drift_bound : {-1.0, 0.02}) {
+      for (int retain_epochs : {0, 3}) {
+        const std::string label =
+            "seal_records=" + std::to_string(seal_records) +
+            " drift_bound=" + std::to_string(drift_bound) +
+            " retain_epochs=" + std::to_string(retain_epochs);
+        MaintenancePolicy policy;
+        // 0 means "every batch" to the hand loop; the scheduler's
+        // equivalent is a 1-record cadence.
+        policy.seal_records = seal_records > 0 ? seal_records : 1;
+        policy.drift_bound = drift_bound;
+        policy.retain_epochs = retain_epochs;
+        FairIndexServiceOptions options = AutoOptions(5, 2, policy);
+        options.auto_maintain = false;
+        options.refine.drift_bound = drift_bound;
+        auto hand = FairIndexService::Create(grid, warmup, options);
+        auto ticked = FairIndexService::Create(grid, warmup, options);
+        ASSERT_TRUE(hand.ok()) << hand.status().ToString();
+        ASSERT_TRUE(ticked.ok()) << ticked.status().ToString();
+        MaintenanceScheduler scheduler(ticked->get(), policy);
+
+        for (size_t b = 0; b < batches.size(); ++b) {
+          ASSERT_TRUE((*hand)->Ingest(batches[b]).ok());
+          if ((*hand)->store().pending_records() >= seal_records) {
+            if (drift_bound >= 0.0) {
+              ASSERT_TRUE((*hand)->MaybeRefine().ok());
+            } else {
+              ASSERT_TRUE((*hand)->Seal().ok());
+            }
+            if (retain_epochs > 0) (*hand)->ApplyRetention(retain_epochs);
+          }
+          ASSERT_TRUE((*ticked)->Ingest(batches[b]).ok());
+          scheduler.TickNow();
+          expect_same(**hand, **ticked,
+                      label + " batch " + std::to_string(b));
+        }
+        EXPECT_EQ(scheduler.stats().errors, 0) << label;
+        if (drift_bound >= 0.0) refine_resplits += (*hand)->total_resplits();
+      }
+    }
+  }
+  // The refine cases must actually re-split, or the differential would
+  // only cover seals.
+  EXPECT_GT(refine_resplits, 0);
 }
 
 }  // namespace

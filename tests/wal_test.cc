@@ -354,6 +354,38 @@ TEST(WalReadTest, BadMagicIsAlwaysAHardError) {
             StatusCode::kDataLoss);
 }
 
+// A 22-byte batch record with a VALID CRC that declares 2^32-1 cells:
+// the count must be checked against the bytes actually present and
+// answered with DataLoss, never a reserve that throws or exhausts memory.
+TEST(WalReadTest, HostileRecordCountIsDataLossNotAnAllocation) {
+  const std::string dir = FreshDir("hostile_count");
+  auto writer = WalWriter::Open(dir, 1, 1, WalOptions{});
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+  auto segments = ListWalSegments(dir);
+  ASSERT_TRUE(segments.ok());
+  const std::string path = (*segments)[0].path;
+
+  BinaryWriter payload;
+  payload.PutU8(1);             // Batch record.
+  payload.PutI64(1);            // Sequence number.
+  payload.PutU32(0xFFFFFFFFu);  // Declared cell count.
+  payload.PutU8(0);             // No residuals; no cells follow.
+  BinaryWriter frame;
+  frame.PutU32(static_cast<uint32_t>(payload.size()));
+  frame.PutU32(Crc32c(payload.buffer().data(), payload.size()));
+  frame.PutBytes(payload.buffer().data(), payload.size());
+  ASSERT_EQ(frame.size(), 22u);
+  WriteFileBytes(path, ReadFileBytes(path) + frame.buffer());
+
+  for (bool allow_torn_tail : {true, false}) {
+    const Status status = ReadWalSegment(path, allow_torn_tail).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+    EXPECT_NE(status.message().find("declares"), std::string::npos)
+        << status;
+  }
+}
+
 TEST(WalListTest, SortsByGenerationThenEpochAndIgnoresForeignFiles) {
   const std::string dir = FreshDir("list");
   std::filesystem::create_directories(dir);

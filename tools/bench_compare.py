@@ -124,7 +124,7 @@ def main():
 
     # Dispatched-kernel awareness: bench_util.h records which SIMD tier
     # produced the numbers (context.fairidx_simd_tier). A baseline taken
-    # under a different tier (e.g. an AVX2 refresh compared on an SSE2
+    # under a different tier (e.g. an AVX2 refresh compared on a scalar
     # runner, or a FAIRIDX_FORCE_SCALAR run) times different code, so
     # absolute ratios mean little — surface that loudly. The
     # --require-faster pairs stay meaningful either way: both sides come

@@ -48,12 +48,13 @@
 // amortizes over many batches (rows between seals then repeat the last
 // sealed epoch's ENCE).
 //
-// With --auto-maintain the ingest loop never seals or refines itself:
-// the service's background MaintenancePolicy thread does (seal cadence
-// from --seal-records and/or --seal-interval S seconds, refine per
-// --refine-bound when given) — the hands-off serving mode. Epoch and
-// re-split columns then reflect background timing rather than a
-// deterministic per-batch schedule.
+// Either way one MaintenancePolicy decides maintenance (seal cadence
+// from --seal-records, refine per --refine-bound when given, retention
+// per --retain-epochs). By default the ingest loop ticks it after every
+// batch; with --auto-maintain the service's background maintenance loop
+// runs it instead (and --seal-interval S adds a wall-clock cadence) —
+// the hands-off serving mode. Epoch and re-split columns then reflect
+// background timing rather than a deterministic per-batch schedule.
 //
 // With --wal DIR the stream is durable: every batch is write-ahead
 // logged and sealed state checkpointed into DIR (see service/wal.h and
@@ -559,19 +560,17 @@ int CmdStream(const Flags& flags) {
   options.store.num_shards = shards;
   options.store.num_threads = flags.GetInt("threads", 1);
   options.refine.drift_bound = flags.GetDouble("refine-bound", 0.02);
-  if (auto_maintain) {
-    options.auto_maintain = true;
-    // --seal-records 0 means "every batch" in caller mode; for the
-    // scheduler that is a 1-record cadence — UNLESS an interval was
-    // given, in which case 0 disables the record cadence so the wall
-    // clock alone governs (an interval-only policy stays expressible).
-    options.maintain.seal_records =
-        seal_records > 0 ? seal_records : (seal_interval > 0.0 ? 0 : 1);
-    options.maintain.seal_interval_seconds = seal_interval;
-    options.maintain.drift_bound =
-        refine ? flags.GetDouble("refine-bound", 0.02) : -1.0;
-    options.maintain.retain_epochs = retain_epochs;
-  }
+  options.auto_maintain = auto_maintain;
+  // --seal-records 0 means "every batch": after an ingest that is a
+  // 1-record cadence — UNLESS an interval was given (--auto-maintain
+  // only), in which case 0 disables the record cadence so the wall clock
+  // alone governs (an interval-only policy stays expressible).
+  options.maintain.seal_records =
+      seal_records > 0 ? seal_records : (seal_interval > 0.0 ? 0 : 1);
+  options.maintain.seal_interval_seconds = seal_interval;
+  options.maintain.drift_bound =
+      refine ? flags.GetDouble("refine-bound", 0.02) : -1.0;
+  options.maintain.retain_epochs = retain_epochs;
   if (!wal_dir.empty()) {
     options.durability.wal_dir = wal_dir;
     options.durability.checkpoint_interval =
@@ -631,6 +630,9 @@ int CmdStream(const Flags& flags) {
                 std::to_string((*service)->regions()->size()), "0",
                 TablePrinter::FormatDouble(warm_ence.ence, 5)});
 
+  // Caller-driven maintenance ticks, on this thread, the same policy the
+  // background loop runs under --auto-maintain.
+  MaintenanceScheduler caller_maintenance(service->get(), options.maintain);
   int batch_index = 0;
   for (size_t next = resume; next < n;) {
     const size_t end = std::min(n, next + static_cast<size_t>(batch));
@@ -649,24 +651,13 @@ int CmdStream(const Flags& flags) {
       std::raise(SIGKILL);
     }
     // Seal policy: fold once enough records are pending (0 = every
-    // batch). MaybeRefine seals itself, then re-splits any subtree that
-    // drifted past the bound on that sealed epoch. Under --auto-maintain
-    // the background scheduler does all of this; the resplits column then
-    // reports the cumulative count it has published so far.
-    int resplits = 0;
-    if (auto_maintain) {
-      resplits = static_cast<int>((*service)->total_resplits());
-    } else if (store.pending_records() >= seal_records) {
-      if (refine) {
-        auto refined = (*service)->MaybeRefine();
-        if (!refined.ok()) return Fail(refined.status());
-        resplits = refined->stats.subtrees_rebuilt;
-      } else {
-        if (auto sealed = (*service)->Seal(); !sealed.ok()) {
-          return Fail(sealed.status());
-        }
+    // batch). A refine pass seals itself, then re-splits any subtree that
+    // drifted past the bound on that sealed epoch. The resplits column
+    // reports the cumulative count published so far.
+    if (!auto_maintain && caller_maintenance.TickNow()) {
+      if (Status error = caller_maintenance.last_error(); !error.ok()) {
+        return Fail(error);
       }
-      if (retain_epochs > 0) (*service)->ApplyRetention(retain_epochs);
     }
     const RegionEnceResult ence = RegionEnce((*service)->QueryRegions());
     table.AddRow({std::to_string(++batch_index),
@@ -674,14 +665,14 @@ int CmdStream(const Flags& flags) {
                   std::to_string(store.pending_records()),
                   std::to_string(store.epoch()),
                   std::to_string((*service)->regions()->size()),
-                  std::to_string(resplits),
+                  std::to_string((*service)->total_resplits()),
                   TablePrinter::FormatDouble(ence.ence, 5)});
   }
   table.Print(std::cout);
 
   // Quiesce background maintenance (joins any in-flight pass), then seal
   // the tail and show the exact final state.
-  if (auto_maintain) (*service)->StopMaintenance();
+  (*service)->StopMaintenance();
   if (auto sealed = (*service)->Seal(); !sealed.ok()) {
     return Fail(sealed.status());
   }
