@@ -137,7 +137,7 @@ Result<GridAggregates> GridAggregates::Build(
       AccumulateInto(grid, cell_ids, labels, scores, residuals,
                      agg.prefix_.data(),
                      static_cast<size_t>(grid.cols()) + 1, 1));
-  agg.IntegrateSlots(/*num_threads=*/0);
+  agg.IntegrateSlots(/*num_threads=*/1);
   return agg;
 }
 
@@ -165,19 +165,8 @@ Result<GridAggregates> GridAggregates::FromCellSums(
 }
 
 void GridAggregates::IntegrateSlots(int num_threads) {
-  int threads = num_threads;
-  if (threads == 0) {
-    // Auto: engage the shared pool only when it actually has workers (on a
-    // 1-core host Wait() would just run everything inline with scheduling
-    // overhead on top) and the grid is big enough that the integration
-    // dominates the task bookkeeping.
-    ThreadPool& pool = ThreadPool::Shared();
-    const bool big =
-        static_cast<long long>(rows_) * cols_ >= 256LL * 256LL;
-    threads = (pool.num_workers() > 0 && big) ? pool.num_workers() + 1 : 1;
-  }
-  if (threads > 1 && rows_ > 1) {
-    IntegrateWavefront(threads);
+  if (num_threads > 1 && rows_ > 1) {
+    IntegrateWavefront(num_threads);
     return;
   }
   const size_t stride = static_cast<size_t>(cols_) + 1;

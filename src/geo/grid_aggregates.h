@@ -112,36 +112,34 @@ class GridAggregates {
   /// row-major, rows * cols entries; the cell_abs field of the input is
   /// ignored and recomputed as |labels - scores| per cell). Produces the
   /// exact structure Build() would for any record stream with the same
-  /// per-cell sums — DeltaGridAggregates uses this for its threshold
-  /// rebuilds, and the sharded serving store for its seal folds.
+  /// per-cell sums — the sharded serving store uses this for its seal
+  /// folds, checkpoint loads and recovery.
   ///
-  /// `num_threads` controls the prefix-integration pass: 0 picks
-  /// automatically (the shared pool, when it has workers and the grid is
-  /// big enough to pay for scheduling), 1 forces the serial loop, and
-  /// N > 1 runs the wavefront pipeline on the shared pool. The
-  /// integration is bit-identical under every setting — each cell's
-  /// operation sequence is fixed and the wavefront ordering only changes
-  /// WHEN independent cells run, never the per-cell arithmetic — which
-  /// the WavefrontIntegrate differential suite pins.
+  /// `num_threads` controls the prefix-integration pass: <= 1 runs the
+  /// serial loop, and N > 1 runs the wavefront pipeline on the shared
+  /// pool. The integration is bit-identical under every setting — each
+  /// cell's operation sequence is fixed and the wavefront ordering only
+  /// changes WHEN independent cells run, never the per-cell arithmetic —
+  /// which the WavefrontIntegrate differential suite pins.
   static Result<GridAggregates> FromCellSums(
       int rows, int cols, const std::vector<PrefixEntry>& cell_sums,
-      int num_threads = 0);
+      int num_threads = 1);
 
   /// Validates `cell_ids`/`labels`/`scores`/`residuals` (the Build
   /// contract) and accumulates them into dense row-major per-cell sums in
   /// arrival order — the single definition of the accumulation step, so
-  /// Build() and the streaming overlay can never drift apart on
-  /// validation rules, residual defaulting or summation order.
+  /// Build() and the serving store's warmup epoch can never drift apart
+  /// on validation rules, residual defaulting or summation order.
   static Result<std::vector<PrefixEntry>> AccumulateCellSums(
       const Grid& grid, const std::vector<int>& cell_ids,
       const std::vector<int>& labels, const std::vector<double>& scores,
       const std::vector<double>& residuals = {});
 
   /// The single definition of one record's contribution to a per-cell sum:
-  /// Build, the streaming overlay's Insert and the sharded serving store's
-  /// seal folds all add through this, so their per-slot floating-point
-  /// operation sequences can never drift apart. `residual` is the caller's
-  /// explicit value (callers wanting the default pass score - label).
+  /// Build and the sharded serving store's seal folds both add through
+  /// this, so their per-slot floating-point operation sequences can never
+  /// drift apart. `residual` is the caller's explicit value (callers
+  /// wanting the default pass score - label).
   static void AccumulateRecord(PrefixEntry* slot, int label, double score,
                                double residual) {
     slot->count += 1.0;
@@ -150,8 +148,8 @@ class GridAggregates {
     slot->residuals += residual;
   }
 
-  /// The per-record acceptance rule Build and the streaming overlay's
-  /// Insert both enforce: in-grid cell id and a 0/1 label.
+  /// The per-record acceptance rule Build and the serving store's Ingest
+  /// both enforce: in-grid cell id and a 0/1 label.
   static Status ValidateRecord(int num_cells, int cell_id, int label) {
     if (cell_id < 0 || cell_id >= num_cells) {
       return OutOfRangeError("GridAggregates: cell id out of range");
@@ -242,8 +240,8 @@ class GridAggregates {
   /// order. Build writes straight into the padded prefix array (stride
   /// cols+1, offset 1 — no intermediate dense copy); AccumulateCellSums
   /// writes a dense row-major array (stride cols, offset 0). Identical
-  /// per-slot addition order either way, which is what keeps the
-  /// streaming overlay's rebuilds bit-identical to Build.
+  /// per-slot addition order either way, which is what keeps
+  /// FromCellSums(AccumulateCellSums(...)) bit-identical to Build.
   static Status AccumulateInto(const Grid& grid,
                                const std::vector<int>& cell_ids,
                                const std::vector<int>& labels,
@@ -257,7 +255,7 @@ class GridAggregates {
   /// label/score sums and folds in the west/north/northwest prefix
   /// neighbours, in one pass. Shared by Build and FromCellSums so both
   /// produce bit-identical prefixes from identical per-cell sums.
-  /// `num_threads` as in FromCellSums (0 auto, 1 serial, N > 1 wavefront);
+  /// `num_threads` as in FromCellSums (<= 1 serial, N > 1 wavefront);
   /// every setting yields bit-identical prefixes.
   void IntegrateSlots(int num_threads);
 

@@ -44,18 +44,6 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Build(
   return out;
 }
 
-double KdTreeMaintainer::MaxLeafDrift(
-    Span<RegionAggregate> fresh_leaf_aggregates) const {
-  if (fresh_leaf_aggregates.size() != leaf_nodes_.size()) return 0.0;
-  double max_drift = 0.0;
-  for (size_t i = 0; i < leaf_nodes_.size(); ++i) {
-    const double drift = DriftOf(fresh_leaf_aggregates[i],
-                                 nodes_[leaf_nodes_[i]].snapshot);
-    if (drift > max_drift) max_drift = drift;
-  }
-  return max_drift;
-}
-
 void KdTreeMaintainer::DriftPrepass(Span<RegionAggregate> leaf_aggregates,
                                     double drift_bound,
                                     std::vector<RegionAggregate>* fresh,
@@ -87,20 +75,6 @@ void KdTreeMaintainer::DriftPrepass(Span<RegionAggregate> leaf_aggregates,
     scratch->drifted[i] = drifted ? 1 : 0;
     scratch->subtree_dirty[i] = (drifted || dirty_below) ? 1 : 0;
   }
-}
-
-bool KdTreeMaintainer::WouldRefine(
-    Span<RegionAggregate> fresh_leaf_aggregates,
-    const KdRefineOptions& options) const {
-  if (fresh_leaf_aggregates.size() != leaf_nodes_.size() ||
-      nodes_.empty() || options.drift_bound < 0.0) {
-    return false;
-  }
-  std::vector<RegionAggregate> fresh;
-  RefineScratch scratch;
-  DriftPrepass(fresh_leaf_aggregates, options.drift_bound, &fresh,
-               &scratch);
-  return scratch.subtree_dirty[0] != 0;
 }
 
 void KdTreeMaintainer::AppendRecording(const KdSubtreeRecording& recording,

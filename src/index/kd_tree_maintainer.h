@@ -82,23 +82,6 @@ class KdTreeMaintainer {
     return static_cast<int>(tree_.result.regions.size());
   }
 
-  /// Max calibration-gap drift over the leaves, given fresh per-leaf
-  /// aggregates in leaf order (e.g. one QueryMany over tree().result
-  /// .regions against a streaming overlay). Pure observability — use
-  /// WouldRefine as the maintenance trigger (leaf drift alone can be
-  /// unactionable). Returns 0 on size mismatch.
-  double MaxLeafDrift(Span<RegionAggregate> fresh_leaf_aggregates) const;
-
-  /// True iff Refine at `options` would re-split at least one subtree,
-  /// judged from fresh per-leaf aggregates (leaf order, e.g. from a
-  /// streaming overlay's QueryMany): the exact bottom-up drift
-  /// evaluation Refine runs, minus the grid queries. The stream loop
-  /// folds its overlay only when this fires, so a drifted-but-
-  /// unsplittable region can never trigger an endless fold + no-op
-  /// cycle. False on size mismatch.
-  bool WouldRefine(Span<RegionAggregate> fresh_leaf_aggregates,
-                   const KdRefineOptions& options) const;
-
   /// Evaluates drift at every node against `aggregates`: each TOPMOST
   /// drifted node's subtree is re-split from scratch on the fresh
   /// aggregates (snapshot refreshed); clean nodes keep their structure and
@@ -150,9 +133,9 @@ class KdTreeMaintainer {
   KdTreeMaintainer(const Grid& grid, KdTreeOptions options)
       : grid_(grid), options_(std::move(options)) {}
 
-  /// The bottom-up drift evaluation shared by Refine and WouldRefine:
-  /// fills fresh per-node aggregates (leaf values + bottom-up sums) and
-  /// the drift / dirty-subtree / subtree-extent marks.
+  /// Refine's bottom-up drift evaluation: fills fresh per-node aggregates
+  /// (leaf values + bottom-up sums) and the drift / dirty-subtree /
+  /// subtree-extent marks.
   void DriftPrepass(Span<RegionAggregate> leaf_aggregates,
                     double drift_bound, std::vector<RegionAggregate>* fresh,
                     RefineScratch* scratch) const;

@@ -35,6 +35,13 @@ Result<Partition> Partition::FromCellMapExact(
   if (num_regions < 1) {
     return InvalidArgumentError("Partition: num_regions must be >= 1");
   }
+  // Every region needs at least one cell, so a larger count is invalid —
+  // and rejecting it here bounds the allocation below by the map itself.
+  if (static_cast<size_t>(num_regions) > cell_to_region.size()) {
+    return InvalidArgumentError(
+        "Partition: " + std::to_string(num_regions) + " regions exceed " +
+        std::to_string(cell_to_region.size()) + " cells");
+  }
   std::vector<char> seen(static_cast<size_t>(num_regions), 0);
   for (int region : cell_to_region) {
     if (region < 0 || region >= num_regions) {
@@ -70,9 +77,8 @@ Result<Partition> Partition::FromRects(const Grid& grid,
 
   int threads = num_threads;
   if (threads == 0) {
-    // Auto: same heuristic as GridAggregates::IntegrateSlots — engage the
-    // shared pool only when it has workers and the grid is big enough for
-    // the fill to dominate the task bookkeeping.
+    // Auto: engage the shared pool only when it has workers and the grid
+    // is big enough for the fill to dominate the task bookkeeping.
     ThreadPool& pool = ThreadPool::Shared();
     const bool big =
         static_cast<long long>(grid.num_cells()) >= 256LL * 256LL;

@@ -30,7 +30,8 @@ class Partition {
   /// This is the deserialization path: a checkpointed partition must round
   /// trip with identical region ids, not merely up to relabeling, because
   /// maintainer state indexes regions by id. Every id must lie in
-  /// [0, num_regions) and every id in that range must appear.
+  /// [0, num_regions) and every id in that range must appear, so
+  /// num_regions above the cell count is rejected before any allocation.
   static Result<Partition> FromCellMapExact(std::vector<int> cell_to_region,
                                             int num_regions);
 

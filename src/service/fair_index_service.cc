@@ -349,8 +349,7 @@ Result<ServiceRefineResult> FairIndexService::MaybeRefine(
                              store_->Seal(annotation));
     out.epoch = sealed.epoch;
     // Refine evaluates drift itself (one batched leaf query + bottom-up
-    // sums) and is an exact no-op when nothing moved past the bound, so no
-    // separate WouldRefine round-trip is needed here.
+    // sums) and is an exact no-op when nothing moved past the bound.
     FAIRIDX_ASSIGN_OR_RETURN(out.stats,
                              partitioner_->Refine(*sealed.snapshot, options));
     if (out.stats.changed) {

@@ -40,11 +40,12 @@
 // surface, so hands-off operation is behaviorally identical to a caller
 // ticking the same policy.
 //
-// Determinism: sealed epochs are bit-identical to a serial single-writer
-// replay (see sharded_delta_store.h), and every maintenance decision keys
-// off a sealed epoch, so a service driven by one thread reproduces the
-// hand-wired DeltaGridAggregates + KdTreeMaintainer loop exactly — the
-// single-writer overlay is the 1-shard specialization, not a fork.
+// Determinism: sealed epochs are bit-identical to GridAggregates::Build
+// over the records sealed so far, in sequence order (see
+// sharded_delta_store.h), and every maintenance decision keys off a
+// sealed epoch, so a service driven by one thread reproduces a hand-wired
+// loop of from-scratch Build + KdTreeMaintainer::Refine exactly, at any
+// shard count.
 
 #ifndef FAIRIDX_SERVICE_FAIR_INDEX_SERVICE_H_
 #define FAIRIDX_SERVICE_FAIR_INDEX_SERVICE_H_

@@ -46,9 +46,9 @@ ShardedDeltaStore::ShardedDeltaStore(const Grid& grid,
 Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Build(
     const Grid& grid, const AggregateBatch& warmup,
     const ShardedDeltaStoreOptions& options) {
-  // The warmup epoch goes through the same accumulate + FromCellSums pair
-  // as DeltaGridAggregates::Build, so epoch 0 is bit-identical to a
-  // from-scratch GridAggregates::Build over the warmup records.
+  // The warmup epoch goes through the accumulate + FromCellSums pair, so
+  // epoch 0 is bit-identical to a from-scratch GridAggregates::Build over
+  // the warmup records.
   FAIRIDX_ASSIGN_OR_RETURN(
       std::vector<PrefixEntry> cell_sums,
       GridAggregates::AccumulateCellSums(grid, warmup.cell_ids,

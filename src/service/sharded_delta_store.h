@@ -1,16 +1,16 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// ShardedDeltaStore: the concurrent serving-layer aggregate store. The
-// single-writer DeltaGridAggregates overlay cannot overlap ingest with
-// queries; this store can. Writers append seq-tagged batches to the
-// pending set, readers query the last SEALED immutable GridAggregates
-// snapshot, and Seal() advances the epoch by folding every pending batch
-// into a fresh snapshot on the shared ThreadPool — one task per shard.
-// Each shard owns a contiguous balanced range of cell ids; its dirty set
-// is the restriction of the pending batches to that range, materialized
-// by its fold task, so the parallel writes into the dense per-cell sums
-// are range-disjoint and never share a cache line.
+// ShardedDeltaStore: the serving layer's one aggregate store. Writers
+// append seq-tagged batches to the pending set while readers query the
+// last SEALED immutable GridAggregates snapshot, and Seal() advances the
+// epoch by folding every pending batch into a fresh snapshot. Ingest
+// never shards: a batch is validated and appended whole. Only the fold
+// does, and only when it can run concurrently: each shard then owns a
+// contiguous balanced range of cell ids and one pool task accumulates
+// the captured batches restricted to that range, so the parallel writes
+// into the dense per-cell sums are range-disjoint and never share a
+// cache line.
 //
 // Epoch lifecycle:
 //
@@ -26,12 +26,10 @@
 // applies the captured batches in batch-sequence order (in-batch order
 // within a batch), so each cell's sums are accumulated in exactly the
 // order a serial single-writer replay of the same batch sequence would
-// use. Folds integrate through GridAggregates::FromCellSums — the same
-// path DeltaGridAggregates::Rebuild takes — so a sealed snapshot is
-// bit-identical to that serial replay at ANY shard count and ANY writer
-// interleaving. num_shards == 1 degenerates to the single-writer
-// overlay's fold (one shard, one arrival-order pass): the overlay is the
-// 1-shard specialization, not a separate code path.
+// use. Folds integrate through GridAggregates::FromCellSums, so a sealed
+// snapshot is bit-identical to GridAggregates::Build over the warmup
+// plus every sealed batch in sequence order, at ANY shard count and ANY
+// writer interleaving.
 //
 // Thread-safety: Ingest / Seal / Query* / stats may all be called
 // concurrently from any thread. Ingest blocks only while a Seal takes its
@@ -99,9 +97,11 @@ struct SealedEpoch {
 
 /// Tuning for the sharded store.
 struct ShardedDeltaStoreOptions {
-  /// Number of cell-ownership shards (>= 1). More shards reduce writer
-  /// contention and widen the seal fold's parallelism; sealed snapshots
-  /// are identical at any value.
+  /// Number of cell-ownership shards (>= 1) the seal fold splits into.
+  /// Ingest ignores it (writers append whole batches under one shared
+  /// gate), and the fold only uses it when num_threads > 1 and the pool
+  /// has workers (or force_sharded_fold is set); sealed snapshots are
+  /// identical at any value.
   int num_shards = 1;
   /// Max parallelism for the per-shard fold work inside Seal (submitted to
   /// the shared ThreadPool). <= 1 folds on the sealing thread in one

@@ -159,37 +159,58 @@ TEST(CheckpointTest, TruncatedFileIsRejectedWithByteCounts) {
 // rects: the reader must answer DataLoss instead of attempting the
 // reserve (which throws out of a Status API).
 TEST(CheckpointTest, HostileRegionCountIsDataLossNotAnAllocation) {
-  const std::string dir = FreshDir("hostile_rects");
-  const CheckpointData data = MakeData(3);
-  ASSERT_TRUE(WriteCheckpoint(dir, data).ok());
-  auto listed = ListCheckpoints(dir);
-  ASSERT_TRUE(listed.ok());
-  const std::string path = (*listed)[0].path;
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
-  // File = 16-byte frame header + body; the body ends with num_rects
+  // File = 16-byte frame header + body; the body ends with the partition
+  // (u64 cell count, i32 region count, one i32 per cell), num_rects
   // (u64), the rects (16 bytes each) and the blob (u64 length + bytes).
+  // Each case overwrites one count with a hostile value, re-seals the CRC
+  // so the body parser sees it, and must get DataLoss naming the count.
   constexpr size_t kFrameHeader = 16;
-  const size_t num_rects_at = bytes.size() -
-                              (8 + data.maintained_blob.size()) -
-                              16 * data.regions.size() - 8;
-  bytes.replace(num_rects_at, 8, std::string(8, '\xff'));
-  BinaryWriter crc;
-  crc.PutU32(Crc32(bytes.data() + kFrameHeader, bytes.size() - kFrameHeader));
-  bytes.replace(12, 4, crc.buffer());
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  const CheckpointData data = MakeData(3);
+  const size_t num_rects_from_end =
+      (8 + data.maintained_blob.size()) + 16 * data.regions.size() + 8;
+  const size_t num_cells = static_cast<size_t>(data.partition.num_cells());
+  const size_t num_regions_from_end = num_rects_from_end + 4 * num_cells + 4;
+  BinaryWriter max_regions;
+  max_regions.PutI32(2147483647);
+  struct Case {
+    const char* name;
+    size_t from_end;
+    std::string value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"rects", num_rects_from_end, std::string(8, '\xff'), "region count"},
+      {"regions", num_regions_from_end, max_regions.buffer(),
+       "2147483647 regions exceed 6 cells"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = FreshDir(std::string("hostile_") + c.name);
+    ASSERT_TRUE(WriteCheckpoint(dir, data).ok());
+    auto listed = ListCheckpoints(dir);
+    ASSERT_TRUE(listed.ok());
+    const std::string path = (*listed)[0].path;
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      bytes = buffer.str();
+    }
+    bytes.replace(bytes.size() - c.from_end, c.value.size(), c.value);
+    BinaryWriter crc;
+    crc.PutU32(
+        Crc32(bytes.data() + kFrameHeader, bytes.size() - kFrameHeader));
+    bytes.replace(12, 4, crc.buffer());
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const Status status = ReadCheckpoint(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << status;
   }
-  const Status status = ReadCheckpoint(path).status();
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
-  EXPECT_NE(status.message().find("region count"), std::string::npos)
-      << status;
 }
 
 TEST(CheckpointTest, FaultedWriteInstallsNothing) {

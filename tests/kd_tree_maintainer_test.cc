@@ -123,8 +123,6 @@ TEST(KdTreeMaintainerTest, RefineOnUnchangedAggregatesIsNoOp) {
       KdTreeMaintainer::Build(grid, aggregates, options).value();
   const std::vector<CellRect> before = maintainer.tree().result.regions;
 
-  EXPECT_EQ(maintainer.MaxLeafDrift(aggregates.QueryMany(before)), 0.0);
-
   KdRefineOptions refine_options;
   refine_options.drift_bound = 0.0;
   const KdRefineStats stats =
@@ -158,10 +156,6 @@ TEST(KdTreeMaintainerTest, LocalizedDriftTriggersLocalizedResplits) {
     drifted.scores.push_back(0.05);
   }
   const GridAggregates after = BuildAggregates(grid, drifted);
-
-  EXPECT_GT(maintainer.MaxLeafDrift(
-                after.QueryMany(maintainer.tree().result.regions)),
-            0.05);
 
   KdRefineOptions refine_options;
   refine_options.drift_bound = 0.05;
@@ -287,12 +281,10 @@ TEST(KdTreeMaintainerTest, RefineIsDeterministic) {
             b.tree().result.partition.cell_to_region());
 }
 
-TEST(KdTreeMaintainerTest, WouldRefineMatchesWhatRefineWouldDo) {
-  // WouldRefine is the stream loop's fold trigger; it must fire exactly
-  // when Refine would re-split something. In particular a height-0 tree
-  // (one full-grid leaf, no budget left) can drift arbitrarily without
-  // ever being actionable — the trigger must stay quiet, or the loop
-  // would fold its overlay every batch for a guaranteed no-op Refine.
+TEST(KdTreeMaintainerTest, RefineResplitsOnlyWhereBudgetRemains) {
+  // A height-0 tree (one full-grid leaf, no budget left) can drift
+  // arbitrarily without ever being actionable: Refine must stay a no-op
+  // there, and act on the same drift once the tree has height to spend.
   Rng rng(78);
   const Grid grid = MakeGrid(16, 16);
   Records base = MakeRecords(rng, grid, 300);
@@ -312,30 +304,24 @@ TEST(KdTreeMaintainerTest, WouldRefineMatchesWhatRefineWouldDo) {
   KdTreeMaintainer single =
       KdTreeMaintainer::Build(grid, before, flat).value();
   // Massive drift, but nothing Refine could act on.
-  EXPECT_GT(single.MaxLeafDrift(
-                after.QueryMany(single.tree().result.regions)),
-            0.05);
-  EXPECT_FALSE(single.WouldRefine(
-      after.QueryMany(single.tree().result.regions), refine_options));
   const KdRefineStats noop =
       single.Refine(after, refine_options).value();
   EXPECT_EQ(noop.subtrees_rebuilt, 0);
 
-  // A real tree over the same drift: the trigger fires and Refine acts.
+  // A real tree over the same drift: Refine acts.
   KdTreeOptions options;
   options.height = 4;
   KdTreeMaintainer maintainer =
       KdTreeMaintainer::Build(grid, before, options).value();
-  ASSERT_TRUE(maintainer.WouldRefine(
-      after.QueryMany(maintainer.tree().result.regions), refine_options));
   const KdRefineStats stats =
       maintainer.Refine(after, refine_options).value();
   EXPECT_GE(stats.subtrees_rebuilt, 1);
 
-  // And with no drift at all, the trigger stays quiet.
-  EXPECT_FALSE(maintainer.WouldRefine(
-      after.QueryMany(maintainer.tree().result.regions),
-      refine_options));
+  // And with no drift left since that pass, Refine stays quiet.
+  const KdRefineStats again =
+      maintainer.Refine(after, refine_options).value();
+  EXPECT_EQ(again.subtrees_rebuilt, 0);
+  EXPECT_FALSE(again.changed);
 }
 
 TEST(KdTreeMaintainerTest, RejectsBadInputs) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/binary_io.h"
 #include "index/uniform_grid.h"
 
 namespace fairidx {
@@ -114,6 +117,18 @@ TEST(PartitionIoTest, BinaryParseRejectsBadInput) {
       ParsePartitionBinary(grid, bytes.substr(0, bytes.size() - 2)).ok());
   EXPECT_FALSE(ParsePartitionBinary(grid, bytes + "x").ok());
   EXPECT_FALSE(ParsePartitionBinary(grid, "").ok());
+  // A well-formed 76-byte body for the 4x4 grid that declares 2^31 - 1
+  // regions: a status naming both counts, not a 2 GiB allocation.
+  std::string hostile = bytes;
+  ASSERT_EQ(hostile.size(), 76u);
+  BinaryWriter count;
+  count.PutI32(2147483647);
+  hostile.replace(8, 4, count.buffer());
+  const Status status = ParsePartitionBinary(grid, hostile).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("2147483647 regions exceed 16 cells"),
+            std::string::npos)
+      << status;
 }
 
 TEST(PartitionIoTest, FromCellMapExactValidatesTheMap) {
@@ -126,6 +141,14 @@ TEST(PartitionIoTest, FromCellMapExactValidatesTheMap) {
   // Degenerate shapes.
   EXPECT_FALSE(Partition::FromCellMapExact({}, 1).ok());
   EXPECT_FALSE(Partition::FromCellMapExact({0}, 0).ok());
+  // More regions than cells: rejected from the counts alone, before the
+  // per-region table is sized by the (possibly hostile) region count.
+  const Status hostile =
+      Partition::FromCellMapExact({0, 1, 0, 1}, 2147483647).status();
+  EXPECT_EQ(hostile.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(hostile.message().find("2147483647 regions exceed 4 cells"),
+            std::string::npos)
+      << hostile;
 }
 
 TEST(PartitionIoTest, WktHasOnePolygonPerRegion) {

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "geo/delta_grid_aggregates.h"
 #include "index/partitioner.h"
+#include "record_log_oracle.h"
 #include "service/fair_index_service.h"
 
 namespace fairidx {
@@ -279,9 +279,9 @@ TEST(QuadTreeMaintainerTest, RegistryAdapterServesRefine) {
 }
 
 // The serving-layer pin, mirroring the KD no-fork test: a FairIndexService
-// on "fair_quadtree" driven serially must match the hand-wired
-// DeltaGridAggregates + QuadTreeMaintainer loop region for region, at any
-// shard count.
+// on "fair_quadtree" driven serially must match the hand-wired loop
+// (from-scratch GridAggregates::Build + QuadTreeMaintainer) region for
+// region, at any shard count.
 TEST(QuadTreeMaintainerTest, ServiceMatchesHandWiredQuadtreeLoop) {
   const Grid grid = MakeGrid(32, 32);
   Rng rng(2026);
@@ -304,15 +304,11 @@ TEST(QuadTreeMaintainerTest, ServiceMatchesHandWiredQuadtreeLoop) {
   KdRefineOptions refine_options;
   refine_options.drift_bound = 0.05;
 
-  DeltaGridAggregates overlay =
-      DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                 warmup.scores)
-          .value();
-  ASSERT_TRUE(overlay.Rebuild().ok());
+  const GridAggregates warm = testing_oracle::BuildFromScratch(grid, warmup);
   FairQuadtreeOptions quad_options;
   quad_options.target_regions = 1 << height;
   const QuadTreeMaintainer warm_tree =
-      QuadTreeMaintainer::Build(grid, overlay.base(), quad_options).value();
+      QuadTreeMaintainer::Build(grid, warm, quad_options).value();
 
   for (int shards : {1, 3}) {
     SCOPED_TRACE(shards);
@@ -327,20 +323,15 @@ TEST(QuadTreeMaintainerTest, ServiceMatchesHandWiredQuadtreeLoop) {
     EXPECT_EQ(*(*service)->regions(), warm_tree.partition().regions);
 
     QuadTreeMaintainer oracle = warm_tree;  // Copy: fresh warmup tree.
-    DeltaGridAggregates oracle_overlay = overlay;
+    AggregateBatch seen = warmup;
     for (const AggregateBatch& batch : batches) {
       ASSERT_TRUE((*service)->Ingest(batch).ok());
       auto refined = (*service)->MaybeRefine(refine_options);
       ASSERT_TRUE(refined.ok()) << refined.status().ToString();
 
-      for (size_t i = 0; i < batch.size(); ++i) {
-        ASSERT_TRUE(oracle_overlay
-                        .Insert(batch.cell_ids[i], batch.labels[i],
-                                batch.scores[i])
-                        .ok());
-      }
-      ASSERT_TRUE(oracle_overlay.Rebuild().ok());
-      auto stats = oracle.Refine(oracle_overlay.base(), refine_options);
+      testing_oracle::AppendRecords(batch, &seen);
+      auto stats = oracle.Refine(
+          testing_oracle::BuildFromScratch(grid, seen), refine_options);
       ASSERT_TRUE(stats.ok());
       EXPECT_EQ(refined->stats.subtrees_rebuilt, stats->subtrees_rebuilt);
       EXPECT_EQ(refined->stats.changed, stats->changed);

@@ -1,7 +1,7 @@
 // Equivalence and concurrency tests for the epoch-based ShardedDeltaStore:
-// a sealed snapshot must be BIT-identical to a serial single-writer replay
-// (DeltaGridAggregates, the 1-shard specialization) of the same batches in
-// sequence order — at any shard count, after any seal cadence, and under
+// a sealed snapshot must be BIT-identical to a from-scratch
+// GridAggregates::Build over the same batches in sequence order — at any
+// shard count, after any seal cadence, and under
 // concurrent multi-threaded ingest + query + seal interleavings (the
 // stress tests here are also the ThreadSanitizer targets for the serving
 // layer).
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "geo/delta_grid_aggregates.h"
+#include "record_log_oracle.h"
 #include "service/wal.h"
 
 namespace fairidx {
@@ -64,30 +64,16 @@ void ExpectSnapshotBitEq(const GridAggregates& sealed,
   }
 }
 
-#define EXPECT_OK(expr)                              \
-  do {                                               \
-    const Status _status = (expr);                   \
-    EXPECT_TRUE(_status.ok()) << _status.ToString(); \
-  } while (0)
-
-// Serial single-writer oracle: the warmup plus every batch in `order`,
-// replayed record by record through DeltaGridAggregates and folded.
+// Serial oracle: GridAggregates::Build over the warmup plus every batch
+// in `order`, concatenated in that order.
 GridAggregates SerialReplay(const Grid& grid, const AggregateBatch& warmup,
                             const std::vector<AggregateBatch>& batches,
                             const std::vector<size_t>& order) {
-  DeltaGridAggregates replay =
-      DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                 warmup.scores)
-          .value();
+  AggregateBatch log = warmup;
   for (size_t index : order) {
-    const AggregateBatch& batch = batches[index];
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_OK(replay.Insert(batch.cell_ids[i], batch.labels[i],
-                              batch.scores[i]));
-    }
+    testing_oracle::AppendRecords(batches[index], &log);
   }
-  EXPECT_TRUE(replay.Rebuild().ok());
-  return replay.base();
+  return testing_oracle::BuildFromScratch(grid, log);
 }
 
 TEST(ShardedDeltaStoreTest, SealedSnapshotMatchesSerialReplayAtAnyShardCount) {
@@ -154,16 +140,9 @@ TEST(ShardedDeltaStoreTest, ResidualsFollowTheOverlayContract) {
   ASSERT_TRUE((*store)->Ingest(batch).ok());
   ASSERT_TRUE((*store)->Seal().ok());
 
-  DeltaGridAggregates replay =
-      DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                 warmup.scores)
-          .value();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_OK(replay.Insert(batch.cell_ids[i], batch.labels[i],
-                                   batch.scores[i], batch.residuals[i]));
-  }
-  EXPECT_OK(replay.Rebuild());
-  ExpectSnapshotBitEq(*(*store)->snapshot(), replay.base());
+  // The warmup keeps its default residuals, the batch its explicit ones.
+  ExpectSnapshotBitEq(*(*store)->snapshot(),
+                      SerialReplay(grid, warmup, {batch}, {0}));
 }
 
 TEST(ShardedDeltaStoreTest, RejectsBadBatchesAtomically) {
@@ -300,19 +279,12 @@ TEST(ShardedDeltaStoreTest, ConcurrentIngestSealQueryMatchesSerialReplay) {
     EXPECT_EQ((*store)->pending_records(), 0);
 
     // Replay serially in assigned-sequence order and pin bit-identity.
-    DeltaGridAggregates replay =
-        DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                   warmup.scores)
-            .value();
+    AggregateBatch log = warmup;
     for (const auto& [w, b] : by_seq) {
-      const AggregateBatch& batch = per_writer[w][b];
-      for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_OK(replay.Insert(batch.cell_ids[i], batch.labels[i],
-                                       batch.scores[i]));
-      }
+      testing_oracle::AppendRecords(per_writer[w][b], &log);
     }
-    EXPECT_OK(replay.Rebuild());
-    ExpectSnapshotBitEq(*(*store)->snapshot(), replay.base());
+    ExpectSnapshotBitEq(*(*store)->snapshot(),
+                        testing_oracle::BuildFromScratch(grid, log));
   }
 }
 
