@@ -531,9 +531,10 @@ BENCHMARK(BM_ShardedIngestThroughput)->Arg(1)->Arg(4);
 // --- Point-lookup read path: the serving front-end's latency claim. ---
 // One immutable PointLookupIndex snapshot answers "which region is this
 // point in, and what is its aggregate right now" in O(1) per point;
-// LookupMany amortizes the snapshot pin (one mutex-guarded shared_ptr
-// load) over a whole batch and keeps the flat cell-map loads back to
-// back. Both benches process the SAME 4096 points per iteration, so the
+// LookupMany amortizes the snapshot pin (one acquire load checking the
+// thread's cached pin against the publication generation) over a whole
+// batch and keeps the flat cell-map loads back to back. Both benches
+// process the SAME 4096 points per iteration, so the
 // CI require-faster pair — one batched LookupMany call must beat 4096
 // single Lookup calls — compares equal work. The fixture reuses the
 // 256x256 ingest grid with every bench batch sealed in, served by a
@@ -599,6 +600,50 @@ void BM_LookupManyThroughput(benchmark::State& state) {
   state.SetItemsProcessed(points);
 }
 BENCHMARK(BM_LookupManyThroughput);
+
+// The per-call pin's price at serving batch size: 64-point LookupMany
+// calls through the service (cached pin checked per call) against the
+// same calls on a snapshot pinned once outside the loop, at 1/2/4
+// threads. Each thread walks the fixture's points in 64-point slices
+// from its own offset. The CI pair bounds the service path at 10% over
+// the pinned one on one thread; the 2- and 4-thread rows show whether
+// concurrent readers still contend on a shared lock or reference count.
+constexpr size_t kServeBatch = 64;
+
+template <typename LookupBatch>
+void RunLookupMany64(benchmark::State& state, const LookupFixture& f,
+                     LookupBatch&& lookup_batch) {
+  const size_t slices = f.points.size() / kServeBatch;
+  size_t slice = static_cast<size_t>(state.thread_index()) * 7 % slices;
+  std::vector<PointLookupResult> out(kServeBatch);
+  for (auto _ : state) {
+    lookup_batch(Span<Point>(f.points.data() + slice * kServeBatch,
+                             kServeBatch),
+                 out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    slice = slice + 1 == slices ? 0 : slice + 1;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kServeBatch));
+}
+
+void BM_LookupMany64Service(benchmark::State& state) {
+  const LookupFixture& f = BenchLookup();
+  RunLookupMany64(state, f, [&](Span<Point> batch, PointLookupResult* out) {
+    f.service->LookupMany(batch, out);
+  });
+}
+BENCHMARK(BM_LookupMany64Service)->Threads(1)->Threads(2)->Threads(4);
+
+void BM_LookupMany64Pinned(benchmark::State& state) {
+  const LookupFixture& f = BenchLookup();
+  const std::shared_ptr<const PointLookupIndex> pinned = f.service->lookup();
+  RunLookupMany64(state, f, [&](Span<Point> batch, PointLookupResult* out) {
+    pinned->LookupMany(batch, out);
+  });
+}
+BENCHMARK(BM_LookupMany64Pinned)->Threads(1)->Threads(2)->Threads(4);
 
 // --- Multi-tenant indirection tax: TenantRegistry::Ingest vs the bare
 // service. Both benches push the SAME 240 batches into one identically

@@ -27,6 +27,24 @@ long long MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Source of every lookup publication generation, across all services in
+/// the process. Starts at 1: 0 is an empty pin's generation.
+std::atomic<uint64_t> next_lookup_generation{1};
+
+/// A reader thread's cached lookup pin.
+struct LookupPin {
+  /// The service pinned; compared only (never dereferenced), so the
+  /// destructor can drop its own thread's pin.
+  const FairIndexService* service = nullptr;
+  /// The generation `snapshot` was published under (0: empty pin).
+  uint64_t generation = 0;
+  std::shared_ptr<const PointLookupIndex> snapshot;
+};
+
+/// One pin per thread: a thread alternating between services re-pins on
+/// every switch, which costs a lock but never a wrong answer.
+thread_local LookupPin thread_lookup_pin;
+
 }  // namespace
 
 FairIndexService::FairIndexService(
@@ -40,7 +58,12 @@ FairIndexService::FairIndexService(
       store_(std::move(store)),
       partitioner_(std::move(partitioner)) {}
 
-FairIndexService::~FairIndexService() { StopMaintenance(); }
+FairIndexService::~FairIndexService() {
+  StopMaintenance();
+  // Other threads' pins release this service's last snapshot on their
+  // next Lookup* call; the destroying thread's is released here.
+  if (thread_lookup_pin.service == this) thread_lookup_pin = LookupPin{};
+}
 
 Result<std::unique_ptr<FairIndexService>> FairIndexService::Create(
     const Grid& grid, const AggregateBatch& warmup,
@@ -316,20 +339,39 @@ std::shared_ptr<const PointLookupIndex> FairIndexService::lookup() const {
   return lookup_;
 }
 
+const PointLookupIndex& FairIndexService::PinnedLookup() const {
+  LookupPin& pin = thread_lookup_pin;
+  // Generations are unique process-wide, so a match proves the pin holds
+  // this service's current snapshot.
+  if (pin.generation != lookup_generation_.load(std::memory_order_acquire)) {
+    std::shared_ptr<const PointLookupIndex> snapshot;
+    {
+      std::lock_guard<std::mutex> lock(regions_mutex_);
+      snapshot = lookup_;
+      pin.generation = lookup_generation_.load(std::memory_order_relaxed);
+    }
+    pin.service = this;
+    // The swap leaves the old snapshot in `snapshot`, released after the
+    // lock: a reader dropping the last reference never frees under it.
+    pin.snapshot.swap(snapshot);
+  }
+  return *pin.snapshot;
+}
+
 PointLookupResult FairIndexService::Lookup(const Point& p) const {
-  return lookup()->Lookup(p);
+  return PinnedLookup().Lookup(p);
 }
 
 void FairIndexService::LookupMany(Span<Point> points,
                                   PointLookupResult* out) const {
   // One snapshot pin for the whole batch: every answer comes from the
   // same partition and sealed epoch, whatever publishes meanwhile.
-  lookup()->LookupMany(points, out);
+  PinnedLookup().LookupMany(points, out);
 }
 
 std::vector<PointLookupResult> FairIndexService::LookupMany(
     Span<Point> points) const {
-  return lookup()->LookupMany(points);
+  return PinnedLookup().LookupMany(points);
 }
 
 Result<ServiceRefineResult> FairIndexService::MaybeRefine(
@@ -457,6 +499,9 @@ Status FairIndexService::PublishMaintainedLocked(
   // published epoch is strictly older.)
   if (lookup_ == nullptr || epoch >= lookup_->epoch()) {
     lookup_ = std::move(published);
+    lookup_generation_.store(
+        next_lookup_generation.fetch_add(1, std::memory_order_relaxed),
+        std::memory_order_release);
   }
   FetchMax(&max_publish_stall_us_, MicrosSince(publish_start));
   return Status::Ok();

@@ -20,10 +20,16 @@
 //   Query*(...)     any number of reader threads, against the last sealed
 //                   epoch and the currently published partition
 //   Lookup*(...)    any number of reader threads, against the published
-//                   lookup snapshot. Each call takes regions_mutex_ briefly
-//                   to copy the snapshot's shared_ptr (so it is not
-//                   wait-free), then reads the immutable snapshot without
-//                   locks; it can never see a torn partition/aggregate pair
+//                   lookup snapshot. Each reader thread caches its pin of
+//                   the snapshot, keyed by the publication generation, so
+//                   in steady state a call takes no lock and does no
+//                   shared atomic write (one acquire load); a thread takes
+//                   regions_mutex_ once per publication it observes. The
+//                   snapshot is immutable, so a call can never see a torn
+//                   partition/aggregate pair. lookup() and regions() still
+//                   lock. An idle reader thread keeps at most one stale
+//                   snapshot alive in its cache slot until its next Lookup*
+//                   call (or until it destroys the service it cached)
 //   MaybeRefine()   a maintenance thread: seals an epoch, re-splits the
 //                   subtrees whose calibration gap drifted past the bound
 //                   AGAINST THAT SEALED EPOCH, and atomically publishes
@@ -51,6 +57,7 @@
 #define FAIRIDX_SERVICE_FAIR_INDEX_SERVICE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -158,7 +165,8 @@ class FairIndexService {
   FairIndexService(const FairIndexService&) = delete;
   FairIndexService& operator=(const FairIndexService&) = delete;
 
-  /// Stops background maintenance (if running) before teardown.
+  /// Stops background maintenance (if running) before teardown and drops
+  /// the calling thread's cached lookup pin if it points at this service.
   ~FairIndexService();
 
   /// Appends one batch to the store's pending set (visible to queries
@@ -192,7 +200,10 @@ class FairIndexService {
   /// O(1) point lookup against the current snapshot: the region id of
   /// the point's cell plus that region's aggregate from the snapshot's
   /// sealed epoch — by construction never a torn partition/aggregate
-  /// pair. Points outside the grid clamp to the border cells.
+  /// pair. Points outside the grid clamp to the border cells. Answered
+  /// from the calling thread's cached pin (see the file header): no lock
+  /// and no shared atomic write unless a publication landed since this
+  /// thread's last call.
   PointLookupResult Lookup(const Point& p) const;
   PointLookupResult Lookup(double x, double y) const {
     return Lookup(Point{x, y});
@@ -200,8 +211,8 @@ class FairIndexService {
 
   /// Batched point lookups, all answered from ONE snapshot pin: every
   /// result in the batch comes from the same partition and sealed epoch,
-  /// and the single pointer load is amortized over the whole batch.
-  /// `out` must have room for points.size() entries.
+  /// and the pin check is amortized over the whole batch. `out` must
+  /// have room for points.size() entries.
   void LookupMany(Span<Point> points, PointLookupResult* out) const;
   std::vector<PointLookupResult> LookupMany(Span<Point> points) const;
 
@@ -287,6 +298,12 @@ class FairIndexService {
   Status PublishMaintainedLocked(const GridAggregates& sealed_snapshot,
                                  long long epoch, bool partition_changed);
 
+  /// The snapshot Lookup/LookupMany answer from: the calling thread's
+  /// cached pin, re-pinned under regions_mutex_ only when
+  /// lookup_generation_ moved since the thread last pinned. Valid until
+  /// the calling thread's next Lookup* call or service destruction.
+  const PointLookupIndex& PinnedLookup() const;
+
   /// Checkpoint when the sealed epoch has advanced past the configured
   /// interval since the last one (no-op otherwise / without durability).
   Status MaybeCheckpoint();
@@ -350,12 +367,21 @@ class FairIndexService {
   /// and regions() are the SAME object, and refreshed aggregates-only on
   /// plain seals). Epoch-monotonic: only PublishMaintainedLocked swaps it.
   std::shared_ptr<const PointLookupIndex> lookup_;
+  /// lookup_'s publication generation, drawn from a process-wide counter
+  /// so no two snapshots of any two services share one: a service created
+  /// at a destroyed one's address can never match a stale thread pin.
+  /// Stored with release after each swap, under regions_mutex_; readers
+  /// compare it against their cached pin with one acquire load. It sits
+  /// on its own cache line (hence the alignas here and on the next
+  /// member): readers load it on every call, so no written state may
+  /// share the line.
+  alignas(64) std::atomic<uint64_t> lookup_generation_{0};
 
   /// Background maintenance (service-owned; optional): the loop ticks
   /// scheduler_, which only calls public methods, so both layer strictly
   /// above the other state. scheduler_mutex_ guards the scheduler_
   /// pointer; it is replaced only while the loop is stopped.
-  mutable std::mutex scheduler_mutex_;
+  alignas(64) mutable std::mutex scheduler_mutex_;
   std::unique_ptr<MaintenanceScheduler> scheduler_;
   MaintenanceLoop loop_;
 };

@@ -25,10 +25,14 @@
 // are from the same sealed epoch by construction. FairIndexService
 // publishes fresh snapshots behind the same pointer-identity mechanism
 // as the region list (grab the shared_ptr once, answer everything from
-// it). Taking the pin locks the service's regions_mutex_ briefly and
-// copies the shared_ptr, so readers are not wait-free; they never wait
-// on a seal or refine in progress, only on other pins and on the
-// publication swap.
+// it). FairIndexService::Lookup/LookupMany keep that pin per reader
+// thread, checked against the service's publication generation: in
+// steady state a call takes no lock and does no shared atomic write, and
+// a thread takes the service's regions_mutex_ once per publication it
+// observes. An idle reader thread keeps at most one stale snapshot alive
+// in its cache slot until its next call. FairIndexService::lookup() and
+// regions() still lock on every call. No reader ever waits on a seal or
+// refine in progress.
 
 #ifndef FAIRIDX_SERVICE_POINT_LOOKUP_H_
 #define FAIRIDX_SERVICE_POINT_LOOKUP_H_

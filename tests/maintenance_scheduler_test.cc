@@ -288,6 +288,16 @@ TEST(MaintenanceSchedulerTest, MultiWriterStressUnderBackgroundScheduler) {
   for (std::thread& thread : threads) thread.join();
   ASSERT_FALSE(failed.load());
 
+  // The writers can finish before the loop's first tick; give it (bounded)
+  // time to run one pass, so StopMaintenance cannot join a loop that never
+  // ticked.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((*service)->maintenance_stats().passes < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   // Quiesce: stop the scheduler (joins any in-flight pass), seal the
   // tail, audit.
   (*service)->StopMaintenance();

@@ -11,8 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -422,6 +426,257 @@ TEST(PointLookupServiceTest, ConcurrentLookupsUnderLiveMaintenance) {
       EXPECT_EQ(got[i].region, want);
       EXPECT_TRUE(SameAggregate(got[i].aggregate, oracle[want]));
     }
+  }
+}
+
+// --- The per-thread cached pin behind Lookup/LookupMany. ---
+
+// The center of every grid cell: a batch over these names every region of
+// any partition of the grid at least once.
+std::vector<Point> CellCenters(const Grid& grid) {
+  std::vector<Point> points = ProbePoints(grid);
+  points.resize(static_cast<size_t>(grid.num_cells()));
+  return points;
+}
+
+// LookupMany through the service == LookupMany on its current snapshot.
+void ExpectServesCurrentSnapshot(const FairIndexService& service,
+                                 const std::vector<Point>& points) {
+  const std::vector<PointLookupResult> got =
+      service.LookupMany(Span<Point>(points));
+  const std::vector<PointLookupResult> want =
+      service.lookup()->LookupMany(Span<Point>(points));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].region, want[i].region);
+    EXPECT_TRUE(SameAggregate(got[i].aggregate, want[i].aggregate));
+  }
+}
+
+// Services created, looked up once and destroyed in a loop, each likely
+// at its predecessor's address and at the same point of its publication
+// history, with different data each time: a thread's cached pin must
+// never answer for a service it did not pin. Destroying on another
+// thread leaves this thread's pin stale on purpose, so only the
+// process-wide publication generation tells the new service apart.
+TEST(PointLookupServiceTest, CachedPinSurvivesServiceAddressReuse) {
+  const Grid grid = MakeGrid(16, 16);
+  const std::vector<Point> points = ProbePoints(grid);
+  for (bool destroy_elsewhere : {false, true}) {
+    SCOPED_TRACE(destroy_elsewhere);
+    for (int i = 0; i < 12; ++i) {
+      Rng rng(1000 + static_cast<uint64_t>(i));
+      const DriftStream stream = MakeDriftStream(rng, grid, 150 + 20 * i, 0, 0);
+      auto service =
+          FairIndexService::Create(grid, stream.warmup, ServiceOptions(3, 1));
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      ExpectServesCurrentSnapshot(**service, points);
+      if (destroy_elsewhere) {
+        std::thread([owned = std::move(*service)]() mutable {
+          owned.reset();
+        }).join();
+      }
+    }
+  }
+}
+
+// One thread alternating between two live services gets each service's
+// own answers, before and after either one publishes.
+TEST(PointLookupServiceTest, ThreadAlternatingServicesGetsEachOnesAnswers) {
+  const Grid grid = MakeGrid(16, 16);
+  const std::vector<Point> points = ProbePoints(grid);
+  Rng rng_a(21);
+  Rng rng_b(22);
+  const DriftStream a = MakeDriftStream(rng_a, grid, 300, 4, 50);
+  const DriftStream b = MakeDriftStream(rng_b, grid, 500, 4, 50);
+  auto service_a =
+      FairIndexService::Create(grid, a.warmup, ServiceOptions(4, 1));
+  auto service_b =
+      FairIndexService::Create(grid, b.warmup, ServiceOptions(4, 2));
+  ASSERT_TRUE(service_a.ok()) << service_a.status().ToString();
+  ASSERT_TRUE(service_b.ok()) << service_b.status().ToString();
+
+  for (size_t step = 0; step < a.batches.size(); ++step) {
+    for (int round = 0; round < 3; ++round) {
+      ExpectServesCurrentSnapshot(**service_a, points);
+      ExpectServesCurrentSnapshot(**service_b, points);
+    }
+    // Publish on one side only, then on the other.
+    ASSERT_TRUE((*service_a)->Ingest(a.batches[step]).ok());
+    ASSERT_TRUE((*service_a)->MaybeRefine().ok());
+    ExpectServesCurrentSnapshot(**service_b, points);
+    ExpectServesCurrentSnapshot(**service_a, points);
+    ASSERT_TRUE((*service_b)->Ingest(b.batches[step]).ok());
+    ASSERT_TRUE((*service_b)->Seal().ok());
+  }
+}
+
+// The cache must not outlive its service on the destroying thread: the
+// snapshot LookupMany used is freed with the service. A pin on another
+// thread keeps it until that thread's next Lookup* call.
+TEST(PointLookupServiceTest, DestroyingServiceReleasesThisThreadsPin) {
+  const Grid grid = MakeGrid(16, 16);
+  const std::vector<Point> points = ProbePoints(grid);
+  Rng rng(31);
+  const DriftStream stream = MakeDriftStream(rng, grid, 300, 0, 0);
+
+  auto service =
+      FairIndexService::Create(grid, stream.warmup, ServiceOptions(4, 1));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  (void)(*service)->LookupMany(Span<Point>(points));
+  // Nothing published since, so this is the snapshot LookupMany used.
+  const std::weak_ptr<const PointLookupIndex> used = (*service)->lookup();
+  ASSERT_FALSE(used.expired());
+  service->reset();
+  EXPECT_TRUE(used.expired());
+
+  // Pinned on a reader thread, destroyed here: the reader's pin holds
+  // the snapshot until the reader looks up anything else.
+  auto first =
+      FairIndexService::Create(grid, stream.warmup, ServiceOptions(4, 1));
+  auto second =
+      FairIndexService::Create(grid, stream.warmup, ServiceOptions(4, 1));
+  ASSERT_TRUE(first.ok() && second.ok());
+  const std::weak_ptr<const PointLookupIndex> pinned = (*first)->lookup();
+  std::mutex mu;
+  std::condition_variable cv;
+  int stage = 0;
+  std::thread reader([&] {
+    (void)(*first)->LookupMany(Span<Point>(points));
+    std::unique_lock<std::mutex> lock(mu);
+    stage = 1;
+    cv.notify_all();
+    cv.wait(lock, [&] { return stage == 2; });
+    (void)(*second)->LookupMany(Span<Point>(points));
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return stage == 1; });
+  }
+  first->reset();
+  EXPECT_FALSE(pinned.expired());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    stage = 2;
+  }
+  cv.notify_all();
+  reader.join();
+  EXPECT_TRUE(pinned.expired());
+}
+
+// N readers against a live background scheduler and live writers. Each
+// batch covers every cell, so it names every region of the partition that
+// answered it: one snapshot means one aggregate per region id, dense ids,
+// and a region-count sum equal to that epoch's sealed record total. That
+// total only grows with the epoch, so a reader's totals never go down,
+// and each lies between the snapshots lookup() returned just before and
+// just after the call (bit-identical to them when both are the same).
+TEST(PointLookupServiceTest,
+     CachedPinReadersSeeOneSnapshotPerBatchAndMonotoneEpochs) {
+  const Grid grid = MakeGrid(16, 16);
+  Rng rng(57);
+  const DriftStream stream = MakeDriftStream(rng, grid, 400, 40, 30);
+  const std::vector<Point> points = CellCenters(grid);
+
+  FairIndexServiceOptions options = ServiceOptions(4, 2);
+  options.auto_maintain = true;
+  options.maintain.seal_records = 40;
+  options.maintain.poll_interval_seconds = 0.0005;
+  auto service = FairIndexService::Create(grid, stream.warmup, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const FairIndexService* svc = service->get();
+
+  const auto total_of = [](const PointLookupIndex& snapshot) {
+    double total = 0.0;
+    for (const RegionAggregate& a : snapshot.aggregates()) total += a.count;
+    return total;
+  };
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> done{false};
+  std::vector<std::string> failures(kReaders);
+  std::vector<long long> calls(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<PointLookupResult> out(points.size());
+      double last_total = -1.0;
+      long long last_epoch = -1;
+      while (!done.load(std::memory_order_relaxed) || calls[r] < 50) {
+        ++calls[r];
+        const auto before = svc->lookup();
+        svc->LookupMany(Span<Point>(points), out.data());
+        const auto after = svc->lookup();
+        if (before->epoch() < last_epoch || after->epoch() < before->epoch()) {
+          failures[r] = "lookup() epoch went down";
+          return;
+        }
+        last_epoch = after->epoch();
+
+        std::vector<const RegionAggregate*> by_region(points.size(), nullptr);
+        size_t regions = 0;
+        double total = 0.0;
+        for (const PointLookupResult& result : out) {
+          if (result.region >= by_region.size()) {
+            failures[r] = "region id out of range";
+            return;
+          }
+          const RegionAggregate*& seen = by_region[result.region];
+          if (seen == nullptr) {
+            seen = &result.aggregate;
+            ++regions;
+            total += result.aggregate.count;
+          } else if (!SameAggregate(*seen, result.aggregate)) {
+            failures[r] = "one region, two aggregates in one batch";
+            return;
+          }
+        }
+        for (size_t id = 0; id < regions; ++id) {
+          if (by_region[id] == nullptr) {
+            failures[r] = "region ids are not dense";
+            return;
+          }
+        }
+        if (total < last_total || total < total_of(*before) ||
+            total > total_of(*after)) {
+          failures[r] = "batch total outside its epoch bracket";
+          return;
+        }
+        last_total = total;
+        if (before == after) {
+          for (size_t i = 0; i < points.size(); ++i) {
+            const PointLookupResult want = before->Lookup(points[i]);
+            if (out[i].region != want.region ||
+                !SameAggregate(out[i].aggregate, want.aggregate)) {
+              failures[r] = "answer differs from the pinned snapshot";
+              return;
+            }
+          }
+        }
+      }
+    });
+  }
+
+  std::vector<std::thread> writers;
+  std::atomic<bool> ingest_failed{false};
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (size_t b = w; b < stream.batches.size(); b += 2) {
+        if (!(*service)->Ingest(stream.batches[b]).ok()) {
+          ingest_failed.store(true);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  (*service)->StopMaintenance();
+  EXPECT_FALSE(ingest_failed.load());
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(failures[r], "") << "reader " << r;
+    EXPECT_GE(calls[r], 50);
   }
 }
 

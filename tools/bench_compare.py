@@ -33,6 +33,9 @@ regardless of what produced the baseline. "FAST:SLOW" (optionally
 ":slack", default 0) hard-fails when fresh[FAST] exceeds fresh[SLOW] *
 (1 + slack) — i.e. when an optimised path stops beating its retained
 naive reference. Pair failures always exit 1, cpu mismatch or not.
+Benchmark names may contain ':' themselves (".../threads:1"); a spec is
+split wherever both sides name benchmarks of the fresh run, and must
+split exactly one way.
 """
 
 import argparse
@@ -91,6 +94,32 @@ def timings(doc, path, role):
     if not out:
         fail_file(path, role, "contains no benchmark timings")
     return out
+
+
+def parse_pair(spec, names):
+    """Splits FAST:SLOW[:slack] into (fast, slow, slack), where FAST and
+    SLOW must be in `names` and may contain ':' themselves. Exits when the
+    spec names no pair of `names`, or more than one."""
+    parts = spec.split(":")
+    if len(parts) < 2:
+        sys.exit(f"bench_compare: bad --require-faster spec '{spec}'")
+    readings = [(parts, 0.0)]
+    try:
+        readings.append((parts[:-1], float(parts[-1])))
+    except ValueError:
+        pass
+    found = []
+    for body, slack in readings:
+        for cut in range(1, len(body)):
+            fast, slow = ":".join(body[:cut]), ":".join(body[cut:])
+            if fast in names and slow in names:
+                found.append((fast, slow, slack))
+    if not found:
+        sys.exit(f"bench_compare: --require-faster names missing from "
+                 f"fresh run: '{spec}'")
+    if len(found) > 1:
+        sys.exit(f"bench_compare: ambiguous --require-faster spec '{spec}'")
+    return found[0]
 
 
 def main():
@@ -163,14 +192,7 @@ def main():
 
     pair_failures = 0
     for spec in args.require_faster:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3):
-            sys.exit(f"bench_compare: bad --require-faster spec '{spec}'")
-        fast_name, slow_name = parts[0], parts[1]
-        slack = float(parts[2]) if len(parts) == 3 else 0.0
-        if fast_name not in fresh or slow_name not in fresh:
-            sys.exit(f"bench_compare: --require-faster names missing from "
-                     f"fresh run: '{spec}'")
+        fast_name, slow_name, slack = parse_pair(spec, fresh)
         fast_ns, slow_ns = fresh[fast_name], fresh[slow_name]
         ok = fast_ns <= slow_ns * (1.0 + slack)
         print(f"  pair: {fast_name} ({fast_ns:.0f} ns) vs {slow_name} "
