@@ -360,10 +360,10 @@ void BM_SplitSweepChildrenScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitSweepChildrenScalar);
 
-// The O(UV) prefix integration every build, fold and seal pays, including
-// the copy into padded slots (what the serving store's Seal actually
-// executes). Args are {side, num_threads}: num_threads 1 is the serial
-// kernel, > 1 the wavefront pipeline.
+// The O(UV) prefix integration every build, fold and seal pays: one pass
+// from the dense sums into a fresh, unwritten snapshot array (what the
+// serving store's Seal actually executes). Args are {side, num_threads}:
+// num_threads 1 is the serial kernel, > 1 the wavefront pipeline.
 // Thread-scaling points are recorded for the trajectory but not CI-gated
 // (runner core counts vary); the SIMD-vs-scalar pairs at num_threads 1
 // are.
@@ -383,6 +383,28 @@ const std::vector<GridAggregates::PrefixEntry>& BenchCellSums(int side) {
   }
   return (*cache)[side] = std::move(sums);
 }
+
+// The integration's memory-traffic floor: copy-construct the same dense
+// sums into a fresh vector — one read of the sums and one write of a
+// freshly allocated array, the least any out-of-place integration can
+// do. CI gates BM_FromCellSumsIntegrate/512/1 as a ratio to this, so a
+// regression back to extra passes over the snapshot (a zero fill, a copy
+// into padded slots) fails on any runner. Registered before the
+// integration benches: its first, page-faulting iterations warm the heap
+// for the same-size snapshot allocations that follow, so neither side of
+// the pair is timed on cold pages in short CI runs.
+void BM_CellSumsCopy(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  const auto& sums = BenchCellSums(side);
+  for (auto _ : state) {
+    std::vector<GridAggregates::PrefixEntry> copy(sums);
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * side *
+                          side);
+}
+BENCHMARK(BM_CellSumsCopy)->Arg(512)->Unit(benchmark::kMillisecond);
 
 void FromCellSumsIntegrateLoop(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));

@@ -94,8 +94,9 @@ __attribute__((target("avx2"))) void ChildrenAxis1Avx2(const double* a,
 }
 
 __attribute__((target("avx2"))) void IntegrateCellsAvx2(
-    double* entries, const double* north, size_t n) {
+    double* entries, const double* raw, const double* north, size_t n) {
   double* e = entries;
+  const double* r = raw;
   const double* nr = north;
   // The west neighbour of cell i is exactly the value stored for cell
   // i-1, so it rides in registers across iterations instead of being
@@ -106,17 +107,17 @@ __attribute__((target("avx2"))) void IntegrateCellsAvx2(
   // already-integrated border column / previous chunk tail.
   __m256d w = _mm256_loadu_pd(e - kE);
   double w4 = e[-1];
-  for (size_t i = 0; i < n; ++i, e += kE, nr += kE) {
+  for (size_t i = 0; i < n; ++i, e += kE, r += kE, nr += kE) {
     const double* nw = nr - kE;
-    // cell_abs derives from the RAW per-cell sums, before the add below
-    // overwrites lanes 1/2 with prefix values.
-    const double cell_abs = std::abs(e[1] - e[2]);
+    // Every read of the raw entry happens before the store to e, so an
+    // in-place call (raw == entries) sees the raw sums too.
+    const double cell_abs = std::abs(r[1] - r[2]);
     w = _mm256_add_pd(
-        _mm256_loadu_pd(e),
+        _mm256_loadu_pd(r),
         _mm256_sub_pd(_mm256_add_pd(w, _mm256_loadu_pd(nr)),
                       _mm256_loadu_pd(nw)));
     _mm256_storeu_pd(e, w);
-    w4 = cell_abs + ((w4 + nr[4]) - nw[4]);
+    w4 = AddCellAbs(cell_abs, (w4 + nr[4]) - nw[4]);
     e[4] = w4;
   }
 }

@@ -25,12 +25,18 @@
 // would fuse a rounding step and change results). The four plain-sum
 // fields ride the vector lanes; cell_abs is the scalar fifth lane
 // everywhere, since its |labels - scores| derivation is per-field
-// scalar to begin with.
+// scalar to begin with; its final integration add goes through
+// AddCellAbs, which pins the operand order (and so a NaN result's sign)
+// on every path.
 
 #ifndef FAIRIDX_GEO_AGGREGATE_KERNELS_H_
 #define FAIRIDX_GEO_AGGREGATE_KERNELS_H_
 
 #include <cstddef>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace fairidx {
 namespace internal {
@@ -43,15 +49,23 @@ inline constexpr size_t kAggregateEntryDoubles = 5;
 /// 5-double entries laid out {count, labels, scores, residuals,
 /// cell_abs}.
 struct AggregateKernels {
-  /// Integrates `n` consecutive prefix-row entries in place. Per entry e:
-  ///   e.cell_abs = |e.labels - e.scores|          (from the RAW sums)
-  ///   e.f       += (west.f + north.f) - northwest.f   (all five fields)
-  /// where west is the entry immediately before e (the caller guarantees
-  /// entries[-1] is the already-integrated west neighbour — the padded
-  /// zero border column for the first cell of a row) and north /
-  /// northwest sit in the already-integrated `north` row at the same
-  /// offsets.
-  void (*integrate_cells)(double* entries, const double* north, size_t n);
+  /// Integrates `n` consecutive prefix-row entries, reading each cell's
+  /// raw per-cell sums from the matching entry of the `raw` row. Per
+  /// entry e with raw sums r:
+  ///   e.cell_abs = AddCellAbs(|r.labels - r.scores|, fold.cell_abs)
+  ///   e.f        = r.f + ((west.f + north.f) - northwest.f)  (fields 0-3)
+  /// where fold.cell_abs is (west + north) - northwest on that field, west
+  /// is the entry immediately before e (the caller guarantees entries[-1]
+  /// is the already-integrated west neighbour — the zero border column for
+  /// the first cell of a row) and north / northwest sit in the
+  /// already-integrated `north` row at the same offsets. Every entry is
+  /// written exactly once and never read before that write, so `entries`
+  /// may be uninitialised storage. `raw` may alias `entries`
+  /// (GridAggregates::Build integrates its accumulated slots in place); a
+  /// separate `raw` row is how FromCellSums integrates straight out of the
+  /// dense per-cell sums without copying them into the prefix array.
+  void (*integrate_cells)(double* entries, const double* raw,
+                          const double* north, size_t n);
   /// SplitSweep::Children's all-five-fields corner expressions at one
   /// offset, one entry point per split axis so the sweep resolves the
   /// axis once at construction instead of per offset. `a`/`b` are the
@@ -67,6 +81,20 @@ struct AggregateKernels {
   void (*children_axis1)(const double* a, const double* b,
                          const double* corners, double* left, double* right);
 };
+
+/// cell_abs + fold with cell_abs pinned as the FIRST operand. When both
+/// are NaN, x86's addsd returns its first operand's NaN, so with a plain
+/// `+` the sign of a NaN result would depend on which operand the
+/// compiler puts first — which differs between optimisation levels. The
+/// scalar twin and the AVX2 kernel both add through this, so they agree
+/// bit for bit in every build; on non-x86 hosts it is the plain sum.
+inline double AddCellAbs(double cell_abs, double fold) {
+#if defined(__SSE2__)
+  return _mm_cvtsd_f64(_mm_add_sd(_mm_set_sd(cell_abs), _mm_set_sd(fold)));
+#else
+  return cell_abs + fold;
+#endif
+}
 
 /// The dispatched table: nullptr means "use the scalar loops" (non-x86
 /// hosts, or FAIRIDX_FORCE_SCALAR). Resolved once, at first call, from

@@ -11,30 +11,34 @@ namespace {
 
 using PrefixEntry = GridAggregates::PrefixEntry;
 
-// The scalar twin of AggregateKernels::integrate_cells: one in-place pass
-// over `n` consecutive entries of a prefix row. `entries[-1]` is the
-// already-integrated west neighbour (the padded zero border column for the
-// first cell of a row); `north` points at the already-integrated previous
-// row at the same offsets. Per entry the operation sequence is fixed —
-// cell_abs from the RAW label/score sums first, then the three-neighbour
-// fold field by field — which is what makes scalar, SIMD, serial and
-// wavefront execution bit-identical.
-void IntegrateCellsScalar(PrefixEntry* entries, const PrefixEntry* north,
-                          size_t n) {
+// The scalar twin of AggregateKernels::integrate_cells: one pass over `n`
+// consecutive entries of a prefix row, reading each cell's raw sums from
+// `raw` (which may alias `entries`). `entries[-1]` is the
+// already-integrated west neighbour (the zero border column for the first
+// cell of a row); `north` points at the already-integrated previous row at
+// the same offsets. Per entry the operation sequence is fixed — cell_abs
+// from the raw label/score sums first, then the three-neighbour fold field
+// by field — which is what makes scalar, SIMD, serial and wavefront
+// execution bit-identical.
+void IntegrateCellsScalar(PrefixEntry* entries, const PrefixEntry* raw,
+                          const PrefixEntry* north, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    PrefixEntry& e = entries[i];
+    const PrefixEntry& r = raw[i];
     const PrefixEntry& west = *(entries + i - 1);
     const PrefixEntry& nn = north[i];
     const PrefixEntry& nw = *(north + i - 1);
-    // From the raw per-cell sums, BEFORE the folds below turn the
-    // labels/scores slots into prefix values (absolute values do not
-    // distribute over sums).
-    const double cell_abs = std::abs(e.labels - e.scores);
-    e.count += (west.count + nn.count) - nw.count;
-    e.labels += (west.labels + nn.labels) - nw.labels;
-    e.scores += (west.scores + nn.scores) - nw.scores;
-    e.residuals += (west.residuals + nn.residuals) - nw.residuals;
-    e.cell_abs = cell_abs + ((west.cell_abs + nn.cell_abs) - nw.cell_abs);
+    // Absolute values do not distribute over sums, so cell_abs needs the
+    // raw label/score sums — read before e is written, for the in-place
+    // (raw == entries) case.
+    const double cell_abs = std::abs(r.labels - r.scores);
+    PrefixEntry& e = entries[i];
+    e.count = r.count + ((west.count + nn.count) - nw.count);
+    e.labels = r.labels + ((west.labels + nn.labels) - nw.labels);
+    e.scores = r.scores + ((west.scores + nn.scores) - nw.scores);
+    e.residuals =
+        r.residuals + ((west.residuals + nn.residuals) - nw.residuals);
+    e.cell_abs = internal::AddCellAbs(
+        cell_abs, (west.cell_abs + nn.cell_abs) - nw.cell_abs);
   }
 }
 
@@ -42,13 +46,14 @@ void IntegrateCellsScalar(PrefixEntry* entries, const PrefixEntry* north,
 // twin when dispatch resolved to scalar). `kernels` is hoisted by the
 // caller so the wavefront tasks never touch the atomic.
 inline void IntegrateSegment(const internal::AggregateKernels* kernels,
-                             PrefixEntry* entries, const PrefixEntry* north,
-                             size_t n) {
+                             PrefixEntry* entries, const PrefixEntry* raw,
+                             const PrefixEntry* north, size_t n) {
   if (kernels != nullptr) {
     kernels->integrate_cells(reinterpret_cast<double*>(entries),
+                             reinterpret_cast<const double*>(raw),
                              reinterpret_cast<const double*>(north), n);
   } else {
-    IntegrateCellsScalar(entries, north, n);
+    IntegrateCellsScalar(entries, raw, north, n);
   }
 }
 
@@ -131,13 +136,17 @@ Result<GridAggregates> GridAggregates::Build(
     const std::vector<int>& labels, const std::vector<double>& scores,
     const std::vector<double>& residuals) {
   // Accumulate straight into the (row+1, col+1) prefix slots — no
-  // intermediate dense array — then integrate in place.
+  // intermediate dense array — then integrate in place (the raw rows are
+  // the prefix rows themselves). The whole array, border included, starts
+  // at zero for the accumulation.
   GridAggregates agg(grid.rows(), grid.cols());
-  FAIRIDX_RETURN_IF_ERROR(
-      AccumulateInto(grid, cell_ids, labels, scores, residuals,
-                     agg.prefix_.data(),
-                     static_cast<size_t>(grid.cols()) + 1, 1));
-  agg.IntegrateSlots(/*num_threads=*/1);
+  const size_t stride = static_cast<size_t>(grid.cols()) + 1;
+  std::fill(agg.prefix_.begin(), agg.prefix_.end(), PrefixEntry{});
+  FAIRIDX_RETURN_IF_ERROR(AccumulateInto(grid, cell_ids, labels, scores,
+                                         residuals, agg.prefix_.data(),
+                                         stride, 1));
+  agg.IntegrateSlots(agg.prefix_.data() + stride + 1, stride,
+                     /*num_threads=*/1);
   return agg;
 }
 
@@ -152,21 +161,23 @@ Result<GridAggregates> GridAggregates::FromCellSums(
     return InvalidArgumentError(
         "GridAggregates::FromCellSums: cell_sums size mismatch");
   }
+  // Every entry is written once: the zero border (row 0, column 0) here,
+  // the interior by the integration, straight out of the dense sums.
   GridAggregates agg(rows, cols);
   const size_t stride = static_cast<size_t>(cols) + 1;
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      agg.prefix_[static_cast<size_t>(r + 1) * stride + (c + 1)] =
-          cell_sums[static_cast<size_t>(r) * cols + c];
-    }
+  std::fill_n(agg.prefix_.data(), stride, PrefixEntry{});
+  for (size_t r = 1; r <= static_cast<size_t>(rows); ++r) {
+    agg.prefix_[r * stride] = PrefixEntry{};
   }
-  agg.IntegrateSlots(num_threads);
+  agg.IntegrateSlots(cell_sums.data(), static_cast<size_t>(cols),
+                     num_threads);
   return agg;
 }
 
-void GridAggregates::IntegrateSlots(int num_threads) {
+void GridAggregates::IntegrateSlots(const PrefixEntry* raw,
+                                    size_t raw_stride, int num_threads) {
   if (num_threads > 1 && rows_ > 1) {
-    IntegrateWavefront(num_threads);
+    IntegrateWavefront(raw, raw_stride, num_threads);
     return;
   }
   const size_t stride = static_cast<size_t>(cols_) + 1;
@@ -174,12 +185,15 @@ void GridAggregates::IntegrateSlots(int num_threads) {
       internal::ActiveAggregateKernels();
   for (int r = 1; r <= rows_; ++r) {
     PrefixEntry* row = prefix_.data() + static_cast<size_t>(r) * stride;
-    IntegrateSegment(kernels, row + 1, row + 1 - stride,
-                     static_cast<size_t>(cols_));
+    IntegrateSegment(kernels, row + 1,
+                     raw + static_cast<size_t>(r - 1) * raw_stride,
+                     row + 1 - stride, static_cast<size_t>(cols_));
   }
 }
 
-void GridAggregates::IntegrateWavefront(int num_threads) {
+void GridAggregates::IntegrateWavefront(const PrefixEntry* raw,
+                                        size_t raw_stride,
+                                        int num_threads) {
   const size_t stride = static_cast<size_t>(cols_) + 1;
   const internal::AggregateKernels* kernels =
       internal::ActiveAggregateKernels();
@@ -198,6 +212,8 @@ void GridAggregates::IntegrateWavefront(int num_threads) {
   struct Wavefront {
     GridAggregates* agg;
     const internal::AggregateKernels* kernels;
+    const PrefixEntry* raw;
+    size_t raw_stride;
     size_t stride;
     int num_chunks;
     int chunk_cols;
@@ -217,6 +233,8 @@ void GridAggregates::IntegrateWavefront(int num_threads) {
         PrefixEntry* row =
             agg->prefix_.data() + static_cast<size_t>(r + 1) * stride;
         IntegrateSegment(kernels, row + col_begin,
+                         raw + static_cast<size_t>(r) * raw_stride +
+                             (col_begin - 1),
                          row + col_begin - stride,
                          static_cast<size_t>(col_end - col_begin));
       }
@@ -237,6 +255,8 @@ void GridAggregates::IntegrateWavefront(int num_threads) {
   Wavefront wave;
   wave.agg = this;
   wave.kernels = kernels;
+  wave.raw = raw;
+  wave.raw_stride = raw_stride;
   wave.stride = stride;
   wave.num_chunks = num_chunks;
   wave.chunk_cols = chunk_cols;

@@ -18,7 +18,10 @@
 #define FAIRIDX_GEO_GRID_AGGREGATES_H_
 
 #include <cmath>
+#include <memory>
+#include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -28,6 +31,33 @@
 #include "geo/rect.h"
 
 namespace fairidx {
+namespace internal {
+
+/// std::allocator whose no-argument construct() leaves the storage
+/// unwritten. A value-initialising vector of PrefixEntry would zero every
+/// entry through its default member initialisers before FromCellSums
+/// overwrites it; with this allocator the prefix array is written exactly
+/// once. Copies and explicit-value constructs still construct normally.
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_destructible<T>::value,
+                "unwritten storage must need no destruction");
+  template <typename U>
+  struct rebind {
+    using other = UninitializedAllocator<U>;
+  };
+  UninitializedAllocator() = default;
+  template <typename U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace internal
 
 /// Aggregate statistics of the records inside a region.
 struct RegionAggregate {
@@ -114,6 +144,12 @@ class GridAggregates {
   /// exact structure Build() would for any record stream with the same
   /// per-cell sums — the sharded serving store uses this for its seal
   /// folds, checkpoint loads and recovery.
+  ///
+  /// One pass: the prefix array is allocated unwritten, only its zero
+  /// border (row 0 and column 0) is written up front, and the integration
+  /// reads each row of `cell_sums` directly, so every entry of the new
+  /// snapshot is written exactly once — no zero fill and no copy of the
+  /// sums into padded slots first.
   ///
   /// `num_threads` controls the prefix-integration pass: <= 1 runs the
   /// serial loop, and N > 1 runs the wavefront pipeline on the shared
@@ -233,6 +269,9 @@ class GridAggregates {
   int cols() const { return cols_; }
 
  private:
+  /// Allocates the (rows+1) x (cols+1) prefix array WITHOUT initialising
+  /// it: every builder writes each entry, border included, before the
+  /// object escapes.
   GridAggregates(int rows, int cols);
 
   /// The single definition of the validate-and-accumulate step: adds each
@@ -250,14 +289,19 @@ class GridAggregates {
                                PrefixEntry* slots, size_t stride,
                                int offset);
 
-  /// Turns raw per-cell sums sitting in the (row+1, col+1) slots into the
-  /// final prefix structure: per cell, derives cell_abs from the raw
-  /// label/score sums and folds in the west/north/northwest prefix
-  /// neighbours, in one pass. Shared by Build and FromCellSums so both
-  /// produce bit-identical prefixes from identical per-cell sums.
-  /// `num_threads` as in FromCellSums (<= 1 serial, N > 1 wavefront);
-  /// every setting yields bit-identical prefixes.
-  void IntegrateSlots(int num_threads);
+  /// Writes every interior prefix entry from raw per-cell sums: cell
+  /// (r, c)'s raw sums are raw[r * raw_stride + c]. Per cell, derives
+  /// cell_abs from the raw label/score sums and folds in the
+  /// west/north/northwest prefix neighbours, in one pass that needs only
+  /// the zero border to be written beforehand. FromCellSums passes the
+  /// dense sums (stride cols); Build passes its own accumulated slots
+  /// (prefix_ + stride + 1, stride cols+1), which the kernels allow to
+  /// alias the output. Shared by both so they produce bit-identical
+  /// prefixes from identical per-cell sums. `num_threads` as in
+  /// FromCellSums (<= 1 serial, N > 1 wavefront); every setting yields
+  /// bit-identical prefixes.
+  void IntegrateSlots(const PrefixEntry* raw, size_t raw_stride,
+                      int num_threads);
 
   /// The wavefront pipeline behind IntegrateSlots: rows are cut into
   /// column chunks and chunk (r, j) is scheduled the moment (r-1, j) and
@@ -265,7 +309,8 @@ class GridAggregates {
   /// front instead of waiting on a per-row barrier. Runs on the shared
   /// ThreadPool; correct (and serial) even when the pool has no workers,
   /// because TaskGroup::Wait executes queued tasks itself.
-  void IntegrateWavefront(int num_threads);
+  void IntegrateWavefront(const PrefixEntry* raw, size_t raw_stride,
+                          int num_threads);
 
   const PrefixEntry& EntryAt(int row, int col) const {
     return prefix_[static_cast<size_t>(row) * (cols_ + 1) + col];
@@ -274,8 +319,10 @@ class GridAggregates {
   int rows_;
   int cols_;
   // (rows+1) x (cols+1) inclusive-exclusive prefix sums, row-major, all
-  // five statistics interleaved per corner.
-  std::vector<PrefixEntry> prefix_;
+  // five statistics interleaved per corner. Row 0 and column 0 are the
+  // zero border.
+  std::vector<PrefixEntry, internal::UninitializedAllocator<PrefixEntry>>
+      prefix_;
 };
 
 // The SIMD kernels address PrefixEntry / RegionAggregate as 5 contiguous

@@ -40,7 +40,6 @@ ShardedDeltaStore::ShardedDeltaStore(const Grid& grid,
       fold_threads_(std::max(1, options.num_threads)),
       force_sharded_fold_(options.force_sharded_fold),
       wal_(options.wal),
-      cell_sums_(static_cast<size_t>(grid.num_cells())),
       cell_dirty_epoch_(static_cast<size_t>(grid.num_cells()), -1) {}
 
 Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Build(

@@ -19,7 +19,10 @@
 //     Seal()         ->  cut: swap out all pending slices at a consistent
 //                        batch boundary, fold them (per shard, in seq
 //                        order) into the cumulative per-cell sums,
-//                        integrate a fresh prefix snapshot, epoch += 1
+//                        integrate a fresh prefix snapshot straight from
+//                        those sums (one write per snapshot entry: no
+//                        zero fill, no copy into padded slots),
+//                        epoch += 1
 //     Query*()       ->  the last sealed snapshot only (never pending)
 //
 // Determinism: every cell belongs to exactly one shard and each shard
@@ -283,7 +286,9 @@ class ShardedDeltaStore {
   mutable std::mutex seal_mutex_;
   /// Cumulative row-major per-cell raw sums over every SEALED record, in
   /// serial-replay order per cell. Mutated only inside Seal (per-shard
-  /// pool tasks write disjoint cells).
+  /// pool tasks write disjoint cells). The constructor leaves it empty:
+  /// Build and Restore move their sums in right after, so zero-filling
+  /// it first would only touch rows*cols*40 bytes for nothing.
   std::vector<GridAggregates::PrefixEntry> cell_sums_;
   /// Per-cell epoch of the last fold that touched the cell (-1 = never),
   /// written alongside cell_sums_ under the same disjoint-range

@@ -3,9 +3,10 @@
 // dispatched path must match the scalar loops BIT FOR BIT — on randomized
 // grids, degenerate shapes (1x1, 1xN, Nx1), negative / denormal / ±inf
 // cell sums, every field-mask subset of SplitSweep::Children, and every
-// integration thread count. Comparisons go through memcmp of the whole
-// aggregate, so NaN payloads and signed zeros are pinned too (EXPECT_EQ
-// would pass -0.0 == +0.0 and fail NaN == NaN).
+// integration thread count, also with FromCellSums' unwritten storage
+// carved from a NaN-poisoned heap. Comparisons go through memcmp of the
+// whole aggregate, so NaN payloads and signed zeros are pinned too
+// (EXPECT_EQ would pass -0.0 == +0.0 and fail NaN == NaN).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -340,20 +342,41 @@ void ExpectSamePrefixes(const GridAggregates& got,
   ExpectBitwiseEq(got.Total(), want.Total(), "total");
 }
 
+// FromCellSums leaves its prefix storage unwritten until the integration
+// (or the border write) fills it. This allocates and frees a block of
+// exactly that storage's size, filled with NaN, so the very next
+// same-size allocation most likely reuses it: an entry the one-pass
+// integration forgot to write then reads back as NaN or allocator
+// bookkeeping — a bitwise mismatch — instead of a lucky zero. Call it
+// immediately before FromCellSums.
+void PoisonHeapForPrefix(int rows, int cols) {
+  std::vector<double> junk(static_cast<size_t>(rows + 1) * (cols + 1) *
+                               internal::kAggregateEntryDoubles,
+                           std::numeric_limits<double>::quiet_NaN());
+#if defined(__GNUC__) || defined(__clang__)
+  // Keeps the optimiser from eliding the allocation and the fill.
+  asm volatile("" : : "r"(junk.data()) : "memory");
+#endif
+}
+
 void RunWavefrontDifferential(int rows, int cols,
                               const std::vector<PrefixEntry>& sums) {
   const GridAggregates reference = [&] {
     ScopedDispatch scalar(true);
     return GridAggregates::FromCellSums(rows, cols, sums, 1).value();
   }();
-  for (const bool force_scalar : {true, false}) {
-    for (const int threads : {0, 2, 3, 8}) {
-      ScopedDispatch dispatch(force_scalar);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " force_scalar=" + std::to_string(force_scalar));
-      const GridAggregates agg =
-          GridAggregates::FromCellSums(rows, cols, sums, threads).value();
-      ExpectSamePrefixes(agg, reference, rows, cols);
+  for (const bool poison : {false, true}) {
+    for (const bool force_scalar : {true, false}) {
+      for (const int threads : {0, 2, 3, 8}) {
+        ScopedDispatch dispatch(force_scalar);
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " force_scalar=" + std::to_string(force_scalar) +
+                     " poison=" + std::to_string(poison));
+        if (poison) PoisonHeapForPrefix(rows, cols);
+        const GridAggregates agg =
+            GridAggregates::FromCellSums(rows, cols, sums, threads).value();
+        ExpectSamePrefixes(agg, reference, rows, cols);
+      }
     }
   }
 }
@@ -385,27 +408,46 @@ TEST(WavefrontIntegrateTest, ManyColumnChunks) {
 }
 
 TEST(WavefrontIntegrateTest, BuildUsesIntegrationAuto) {
-  // Build() routes through the same integration (auto thread mode); a
-  // built structure must match a serial FromCellSums of its own sums.
+  // Build() routes through the same integration, in place over its own
+  // zero-filled slots; FromCellSums of the same sums must match it bit
+  // for bit at every thread count and dispatch mode — also when its
+  // unwritten storage is poisoned, so a missed border or interior write
+  // cannot hide behind recycled zeros.
   Rng rng(113);
-  const Grid grid = MakeGrid(19, 23);
-  std::vector<int> cells, labels;
-  std::vector<double> scores;
-  for (int i = 0; i < 3000; ++i) {
-    cells.push_back(static_cast<int>(rng.NextBounded(grid.num_cells())));
-    labels.push_back(rng.Bernoulli(0.3) ? 1 : 0);
-    scores.push_back(rng.NextDouble());
+  for (const auto& shape : std::vector<std::pair<int, int>>{
+           {19, 23}, {1, 1}, {1, 40}, {40, 1}}) {
+    const int rows = shape.first, cols = shape.second;
+    const Grid grid = MakeGrid(rows, cols);
+    std::vector<int> cells, labels;
+    std::vector<double> scores;
+    for (int i = 0; i < 3000; ++i) {
+      cells.push_back(static_cast<int>(rng.NextBounded(grid.num_cells())));
+      labels.push_back(rng.Bernoulli(0.3) ? 1 : 0);
+      scores.push_back(rng.NextDouble());
+    }
+    const GridAggregates built =
+        GridAggregates::Build(grid, cells, labels, scores).value();
+    const auto sums =
+        GridAggregates::AccumulateCellSums(grid, cells, labels, scores)
+            .value();
+    for (const bool poison : {false, true}) {
+      for (const bool force_scalar : {true, false}) {
+        for (const int threads : {0, 2, 3, 8}) {
+          ScopedDispatch dispatch(force_scalar);
+          SCOPED_TRACE("shape=" + std::to_string(rows) + "x" +
+                       std::to_string(cols) +
+                       " threads=" + std::to_string(threads) +
+                       " force_scalar=" + std::to_string(force_scalar) +
+                       " poison=" + std::to_string(poison));
+          if (poison) PoisonHeapForPrefix(rows, cols);
+          const GridAggregates folded =
+              GridAggregates::FromCellSums(rows, cols, sums, threads)
+                  .value();
+          ExpectSamePrefixes(built, folded, rows, cols);
+        }
+      }
+    }
   }
-  const GridAggregates built =
-      GridAggregates::Build(grid, cells, labels, scores).value();
-  const auto sums =
-      GridAggregates::AccumulateCellSums(grid, cells, labels, scores)
-          .value();
-  const GridAggregates folded = [&] {
-    ScopedDispatch scalar(true);
-    return GridAggregates::FromCellSums(19, 23, sums, 1).value();
-  }();
-  ExpectSamePrefixes(built, folded, 19, 23);
 }
 
 // TSan stress: repeated wavefront runs with enough chunks in flight to
