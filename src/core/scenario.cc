@@ -80,28 +80,21 @@ Result<std::vector<int>> ParseHeights(const std::string& value) {
   return heights;
 }
 
-Result<uint64_t> ParseOneSeed(const std::string& item) {
-  // Digits only: strtoull would silently wrap a leading '-' and
-  // saturate on overflow, changing every split in the sweep.
-  if (item.find_first_not_of("0123456789") != std::string::npos) {
-    return InvalidArgumentError("bad seed '" + item + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long seed = std::strtoull(item.c_str(), &end, 10);
-  if (end == item.c_str() || *end != '\0' || errno == ERANGE) {
-    return InvalidArgumentError("bad seed '" + item + "'");
-  }
-  return static_cast<uint64_t>(seed);
-}
-
 Result<std::vector<uint64_t>> ParseSeeds(const std::string& value) {
   std::vector<uint64_t> seeds;
   FAIRIDX_ASSIGN_OR_RETURN(std::vector<std::string> items,
                            SplitList(value));
   for (const std::string& item : items) {
-    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseOneSeed(item));
-    seeds.push_back(seed);
+    // Digits only: strtoull would silently wrap a leading '-' and
+    // saturate on overflow, changing every split in the sweep.
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long seed = std::strtoull(item.c_str(), &end, 10);
+    if (item.find_first_not_of("0123456789") != std::string::npos ||
+        end == item.c_str() || *end != '\0' || errno == ERANGE) {
+      return InvalidArgumentError("bad seed '" + item + "'");
+    }
+    seeds.push_back(static_cast<uint64_t>(seed));
   }
   return seeds;
 }
@@ -125,76 +118,174 @@ Result<std::vector<PartitionAlgorithm>> ParseAlgorithms(
   return algorithms;
 }
 
-// Every key the if-chain in ParseInto accepts, including aliases, in the
-// chain's own order. Kept adjacent to the chain so an edit to one is an
-// edit to both; tests/serve_scenario_test.cc cross-checks this list
-// against the parser's actual behavior AND against the key table in
-// docs/scenario_reference.md, so neither the list nor the doc can rot.
-constexpr const char* kScenarioKeys[] = {
-    "include",         "name",
-    "city",            "csv",
-    "classifier",      "algorithms",
-    "algorithm",       "heights",
-    "height",          "seeds",
-    "seed",            "task",
-    "threads",         "test_fraction",
-    "min_region_population",
-    "workload",        "stream_batch",
-    "stream_shards",   "stream_refine_bound",
-    "stream_warmup_pct",
-    "stream_seal_records",
-    "maintain_policy", "seal_interval",
-    "drift_bound",     "wal_dir",
-    "checkpoint_interval",
-    "full_snapshot_interval",
-    "fsync",           "retain_epochs",
-    "serve_readers",   "serve_lookups",
-    "serve_batch",     "serve_read_pct",
-    "serve_zipf",      "drift",
-    "drift_hot_pct",   "drift_window_pct",
-};
+// Setters for one ScenarioConfig field each, so the key table below
+// can name a key and its field on one line.
+template <auto kField>
+Status SetInt(const std::string& value, ScenarioConfig* config) {
+  FAIRIDX_ASSIGN_OR_RETURN(int parsed, ParseInt(value));
+  config->*kField = parsed;
+  return Status::Ok();
+}
 
-// Every sub-key ParseTenantKey accepts inside a tenant.<name>.<key>
-// section, in its dispatch order, spelled the way the reference doc
-// lists them. Same anti-rot contract as kScenarioKeys: the doc table is
-// test-enforced against ScenarioKeyNames() + TenantScenarioKeyNames().
-constexpr const char* kTenantKeys[] = {
-    "city",          "algorithm",
-    "height",        "seed",
-    "batch",         "shards",
-    "warmup_pct",    "seal_records",
-    "seal_interval", "drift_bound",
-    "retain_epochs", "lookups",
-    "read_pct",      "zipf",
-    "drift",         "fsync",
-    "checkpoint_interval",
-    "full_snapshot_interval",
-};
-
-// Tenant names double as per-tenant WAL namespace directories, so the
-// accepted alphabet must not allow separators or traversal (the same
-// rule TenantRegistry enforces).
-Status ValidateScenarioTenantName(const std::string& name) {
-  if (name.empty()) {
-    return InvalidArgumentError("empty tenant name");
+// NaN passes every range check (each comparison is false) and an
+// infinite cadence, bound or fraction is never what a file means, so
+// every double setting must be finite.
+template <auto kField>
+Status SetDouble(const std::string& value, ScenarioConfig* config) {
+  FAIRIDX_ASSIGN_OR_RETURN(double parsed, ParseDouble(value));
+  if (!std::isfinite(parsed)) {
+    return InvalidArgumentError("'" + value + "' is not a finite number");
   }
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!ok) {
-      return InvalidArgumentError("tenant name '" + name +
-                                  "' must match [A-Za-z0-9_-]+");
-    }
+  config->*kField = parsed;
+  return Status::Ok();
+}
+
+template <auto kField>
+Status SetString(const std::string& value, ScenarioConfig* config) {
+  config->*kField = value;
+  return Status::Ok();
+}
+
+template <auto kField, auto kParse>
+Status SetParsed(const std::string& value, ScenarioConfig* config) {
+  auto parsed = kParse(value);
+  if (!parsed.ok()) return parsed.status();
+  config->*kField = std::move(parsed).value();
+  return Status::Ok();
+}
+
+Result<ScenarioWorkload> ParseWorkload(const std::string& value) {
+  if (value == "pipeline") return ScenarioWorkload::kPipeline;
+  if (value == "stream") return ScenarioWorkload::kStream;
+  if (value == "serve") return ScenarioWorkload::kServe;
+  if (value == "multi_tenant") return ScenarioWorkload::kMultiTenant;
+  return InvalidArgumentError(
+      "unknown workload '" + value +
+      "' (expected pipeline|stream|serve|multi_tenant)");
+}
+
+Result<ScenarioMaintainPolicy> ParseMaintainPolicy(const std::string& value) {
+  if (value == "caller") return ScenarioMaintainPolicy::kCaller;
+  if (value == "auto") return ScenarioMaintainPolicy::kAuto;
+  return InvalidArgumentError("unknown maintain_policy '" + value +
+                              "' (expected caller|auto)");
+}
+
+// Every top-level key, including aliases, with the setter that parses
+// its value. The table IS the accepted key set: SetScenarioKey looks
+// keys up here and ScenarioKeyNames() lists it in this order, and
+// tests/serve_scenario_test.cc pins that list against the key table in
+// docs/scenario_reference.md, so the parser and the doc cannot drift.
+struct ScenarioKey {
+  const char* name;
+  /// Null for `include`, which splices a file and so exists only in one.
+  Status (*set)(const std::string& value, ScenarioConfig* config);
+};
+using SC = ScenarioConfig;
+constexpr ScenarioKey kScenarioKeys[] = {
+    {"include", nullptr},
+    {"name", SetString<&SC::name>},
+    {"city", SetString<&SC::city>},
+    {"csv", SetString<&SC::csv>},
+    {"classifier", SetParsed<&SC::classifier, ParseClassifierKind>},
+    {"algorithms", SetParsed<&SC::algorithms, ParseAlgorithms>},
+    {"algorithm", SetParsed<&SC::algorithms, ParseAlgorithms>},
+    {"heights", SetParsed<&SC::heights, ParseHeights>},
+    {"height", SetParsed<&SC::heights, ParseHeights>},
+    {"seeds", SetParsed<&SC::seeds, ParseSeeds>},
+    {"seed", SetParsed<&SC::seeds, ParseSeeds>},
+    {"task", SetInt<&SC::task>},
+    {"threads", SetInt<&SC::threads>},
+    {"test_fraction", SetDouble<&SC::test_fraction>},
+    {"min_region_population", SetDouble<&SC::min_region_population>},
+    {"workload", SetParsed<&SC::workload, ParseWorkload>},
+    {"stream_batch", SetInt<&SC::stream_batch>},
+    {"stream_shards", SetInt<&SC::stream_shards>},
+    {"stream_refine_bound", SetDouble<&SC::stream_refine_bound>},
+    {"stream_warmup_pct", SetInt<&SC::stream_warmup_pct>},
+    {"stream_seal_records", SetInt<&SC::stream_seal_records>},
+    {"maintain_policy", SetParsed<&SC::maintain_policy, ParseMaintainPolicy>},
+    {"seal_interval", SetDouble<&SC::seal_interval>},
+    // The maintenance-policy spelling of stream_refine_bound: one field,
+    // two names, so the caller loop and the background scheduler can
+    // never disagree on the bound.
+    {"drift_bound", SetDouble<&SC::stream_refine_bound>},
+    {"wal_dir", SetString<&SC::wal_dir>},
+    {"checkpoint_interval", SetInt<&SC::checkpoint_interval>},
+    {"full_snapshot_interval", SetInt<&SC::full_snapshot_interval>},
+    {"fsync", SetString<&SC::fsync>},
+    {"retain_epochs", SetInt<&SC::retain_epochs>},
+    {"serve_readers", SetInt<&SC::serve_readers>},
+    {"serve_lookups", SetInt<&SC::serve_lookups>},
+    {"serve_batch", SetInt<&SC::serve_batch>},
+    {"serve_read_pct", SetInt<&SC::serve_read_pct>},
+    {"serve_zipf", SetDouble<&SC::serve_zipf>},
+    {"drift", SetString<&SC::drift>},
+    {"drift_hot_pct", SetInt<&SC::drift_hot_pct>},
+    {"drift_window_pct", SetInt<&SC::drift_window_pct>},
+};
+
+// Every sub-key a tenant.<name>.<sub> section accepts, spelled the way
+// the reference doc lists them, beside the top-level key it overrides
+// (its twin): an override line is its twin's line, applied to the
+// tenant's copy of the config. Same anti-rot contract as kScenarioKeys:
+// the doc table is test-enforced against ScenarioKeyNames() +
+// TenantScenarioKeyNames().
+struct TenantKey {
+  const char* sub;
+  const char* twin;
+};
+constexpr TenantKey kTenantKeys[] = {
+    {"city", "city"},
+    {"algorithm", "algorithm"},
+    {"height", "height"},
+    {"seed", "seed"},
+    {"batch", "stream_batch"},
+    {"shards", "stream_shards"},
+    {"warmup_pct", "stream_warmup_pct"},
+    {"seal_records", "stream_seal_records"},
+    {"seal_interval", "seal_interval"},
+    {"drift_bound", "drift_bound"},
+    {"retain_epochs", "retain_epochs"},
+    {"lookups", "serve_lookups"},
+    {"read_pct", "serve_read_pct"},
+    {"zipf", "serve_zipf"},
+    {"drift", "drift"},
+    {"fsync", "fsync"},
+    {"checkpoint_interval", "checkpoint_interval"},
+    {"full_snapshot_interval", "full_snapshot_interval"},
+};
+
+const TenantKey* FindTenantKey(const std::string& sub) {
+  for (const TenantKey& key : kTenantKeys) {
+    if (sub == key.sub) return &key;
+  }
+  return nullptr;
+}
+
+// One tenant override line applied to `config` through its twin. The
+// two tenant-only rules live here: a city override drops the top-level
+// csv (the tenant generates that city), and algorithm/height/seed name
+// the tenant's single point, so they take exactly one value.
+Status ApplyTenantOverride(const TenantKey& key, const std::string& value,
+                           ScenarioConfig* config) {
+  FAIRIDX_RETURN_IF_ERROR(SetScenarioKey(key.twin, value, config));
+  const std::string sub = key.sub;
+  if (sub == "city") config->csv.clear();
+  if ((sub == "algorithm" && config->algorithms.size() != 1) ||
+      (sub == "height" && config->heights.size() != 1) ||
+      (sub == "seed" && config->seeds.size() != 1)) {
+    return InvalidArgumentError(sub + " takes exactly one value in a " +
+                                "tenant section, got '" + value + "'");
   }
   return Status::Ok();
 }
 
-// One `tenant.<name>.<key> = value` line: find-or-create the named
-// section (first-appearance order) and set the override. Values are
-// validated here the way the top-level keys are; range checks live in
-// ValidateScenario next to their top-level twins.
-Status ParseTenantKey(const std::string& key, const std::string& value,
-                      ScenarioConfig* config) {
+// One `tenant.<name>.<sub> = value` line: the value is checked now, on a
+// scratch config, so a bad one fails on its own line; the line is then
+// recorded in the named section (sections in first-appearance order).
+Status SetTenantKey(const std::string& key, const std::string& value,
+                    ScenarioConfig* config) {
   const std::string rest = key.substr(7);  // past "tenant."
   const size_t dot = rest.find('.');
   if (dot == std::string::npos || dot == 0 || dot + 1 >= rest.size()) {
@@ -203,72 +294,22 @@ Status ParseTenantKey(const std::string& key, const std::string& value,
   }
   const std::string name = rest.substr(0, dot);
   const std::string sub = rest.substr(dot + 1);
-  FAIRIDX_RETURN_IF_ERROR(ValidateScenarioTenantName(name));
-  ScenarioTenantConfig* tenant = nullptr;
-  for (ScenarioTenantConfig& existing : config->tenants) {
-    if (existing.name == name) tenant = &existing;
-  }
-  if (tenant == nullptr) {
-    config->tenants.emplace_back();
-    config->tenants.back().name = name;
-    tenant = &config->tenants.back();
-  }
-  if (sub == "city") {
-    tenant->city = value;
-  } else if (sub == "algorithm") {
-    FAIRIDX_RETURN_IF_ERROR(ParsePartitionAlgorithm(value).status());
-    tenant->algorithm = value;
-  } else if (sub == "height") {
-    FAIRIDX_ASSIGN_OR_RETURN(int height, ParseInt(value));
-    tenant->height = height;
-  } else if (sub == "seed") {
-    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseOneSeed(value));
-    tenant->seed = seed;
-  } else if (sub == "batch") {
-    FAIRIDX_ASSIGN_OR_RETURN(int batch, ParseInt(value));
-    tenant->batch = batch;
-  } else if (sub == "shards") {
-    FAIRIDX_ASSIGN_OR_RETURN(int shards, ParseInt(value));
-    tenant->shards = shards;
-  } else if (sub == "warmup_pct") {
-    FAIRIDX_ASSIGN_OR_RETURN(int pct, ParseInt(value));
-    tenant->warmup_pct = pct;
-  } else if (sub == "seal_records") {
-    FAIRIDX_ASSIGN_OR_RETURN(int records, ParseInt(value));
-    tenant->seal_records = records;
-  } else if (sub == "seal_interval") {
-    FAIRIDX_ASSIGN_OR_RETURN(double interval, ParseDouble(value));
-    tenant->seal_interval = interval;
-  } else if (sub == "drift_bound") {
-    FAIRIDX_ASSIGN_OR_RETURN(double bound, ParseDouble(value));
-    tenant->drift_bound = bound;
-  } else if (sub == "retain_epochs") {
-    FAIRIDX_ASSIGN_OR_RETURN(int retain, ParseInt(value));
-    tenant->retain_epochs = retain;
-  } else if (sub == "lookups") {
-    FAIRIDX_ASSIGN_OR_RETURN(int lookups, ParseInt(value));
-    tenant->lookups = lookups;
-  } else if (sub == "read_pct") {
-    FAIRIDX_ASSIGN_OR_RETURN(int pct, ParseInt(value));
-    tenant->read_pct = pct;
-  } else if (sub == "zipf") {
-    FAIRIDX_ASSIGN_OR_RETURN(double zipf, ParseDouble(value));
-    tenant->zipf = zipf;
-  } else if (sub == "drift") {
-    tenant->drift = value;
-  } else if (sub == "fsync") {
-    tenant->fsync = value;
-  } else if (sub == "checkpoint_interval") {
-    FAIRIDX_ASSIGN_OR_RETURN(int interval, ParseInt(value));
-    tenant->checkpoint_interval = interval;
-  } else if (sub == "full_snapshot_interval") {
-    FAIRIDX_ASSIGN_OR_RETURN(int interval, ParseInt(value));
-    tenant->full_snapshot_interval = interval;
-  } else {
+  FAIRIDX_RETURN_IF_ERROR(ValidateTenantName(name));
+  const TenantKey* tenant_key = FindTenantKey(sub);
+  if (tenant_key == nullptr) {
     return InvalidArgumentError("unknown scenario key '" + key +
                                 "' (see TenantScenarioKeyNames for the "
                                 "accepted tenant.<name>.* sub-keys)");
   }
+  ScenarioConfig scratch;
+  FAIRIDX_RETURN_IF_ERROR(ApplyTenantOverride(*tenant_key, value, &scratch));
+  auto section = std::find_if(
+      config->tenants.begin(), config->tenants.end(),
+      [&](const ScenarioTenantConfig& tenant) { return tenant.name == name; });
+  if (section == config->tenants.end()) {
+    section = config->tenants.insert(section, ScenarioTenantConfig{name, {}});
+  }
+  section->overrides.emplace_back(sub, value);
   return Status::Ok();
 }
 
@@ -314,153 +355,13 @@ Status ParseInto(const std::string& text, const std::string& include_dir,
           StrFormat("scenario line %d: empty key or value", line_number));
     }
 
-    Status status = Status::Ok();
-    if (key == "include") {
-      status = IncludeFile(ResolvePath(include_dir, value), depth + 1,
-                           config);
-    } else if (key == "name") {
-      config->name = value;
-    } else if (key == "city") {
-      config->city = value;
-    } else if (key == "csv") {
-      config->csv = ResolvePath(include_dir, value);
-    } else if (key == "classifier") {
-      auto kind = ParseClassifierKind(value);
-      if (kind.ok()) config->classifier = *kind;
-      status = kind.ok() ? Status::Ok() : kind.status();
-    } else if (key == "algorithms" || key == "algorithm") {
-      auto algorithms = ParseAlgorithms(value);
-      if (algorithms.ok()) config->algorithms = std::move(*algorithms);
-      status = algorithms.ok() ? Status::Ok() : algorithms.status();
-    } else if (key == "heights" || key == "height") {
-      auto heights = ParseHeights(value);
-      if (heights.ok()) config->heights = std::move(*heights);
-      status = heights.ok() ? Status::Ok() : heights.status();
-    } else if (key == "seeds" || key == "seed") {
-      auto seeds = ParseSeeds(value);
-      if (seeds.ok()) config->seeds = std::move(*seeds);
-      status = seeds.ok() ? Status::Ok() : seeds.status();
-    } else if (key == "task") {
-      auto task = ParseInt(value);
-      if (task.ok()) config->task = *task;
-      status = task.ok() ? Status::Ok() : task.status();
-    } else if (key == "threads") {
-      auto threads = ParseInt(value);
-      if (threads.ok()) config->threads = *threads;
-      status = threads.ok() ? Status::Ok() : threads.status();
-    } else if (key == "test_fraction") {
-      auto fraction = ParseDouble(value);
-      if (fraction.ok()) config->test_fraction = *fraction;
-      status = fraction.ok() ? Status::Ok() : fraction.status();
-    } else if (key == "min_region_population") {
-      auto population = ParseDouble(value);
-      if (population.ok()) config->min_region_population = *population;
-      status = population.ok() ? Status::Ok() : population.status();
-    } else if (key == "workload") {
-      if (value == "pipeline") {
-        config->workload = ScenarioWorkload::kPipeline;
-      } else if (value == "stream") {
-        config->workload = ScenarioWorkload::kStream;
-      } else if (value == "serve") {
-        config->workload = ScenarioWorkload::kServe;
-      } else if (value == "multi_tenant") {
-        config->workload = ScenarioWorkload::kMultiTenant;
-      } else {
-        status = InvalidArgumentError(
-            "unknown workload '" + value +
-            "' (expected pipeline|stream|serve|multi_tenant)");
-      }
-    } else if (key == "stream_batch") {
-      auto batch = ParseInt(value);
-      if (batch.ok()) config->stream_batch = *batch;
-      status = batch.ok() ? Status::Ok() : batch.status();
-    } else if (key == "stream_shards") {
-      auto shards = ParseInt(value);
-      if (shards.ok()) config->stream_shards = *shards;
-      status = shards.ok() ? Status::Ok() : shards.status();
-    } else if (key == "stream_refine_bound") {
-      auto bound = ParseDouble(value);
-      if (bound.ok()) config->stream_refine_bound = *bound;
-      status = bound.ok() ? Status::Ok() : bound.status();
-    } else if (key == "stream_warmup_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->stream_warmup_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key == "stream_seal_records") {
-      auto seal = ParseInt(value);
-      if (seal.ok()) config->stream_seal_records = *seal;
-      status = seal.ok() ? Status::Ok() : seal.status();
-    } else if (key == "maintain_policy") {
-      if (value == "caller") {
-        config->maintain_policy = ScenarioMaintainPolicy::kCaller;
-      } else if (value == "auto") {
-        config->maintain_policy = ScenarioMaintainPolicy::kAuto;
-      } else {
-        status = InvalidArgumentError("unknown maintain_policy '" + value +
-                                      "' (expected caller|auto)");
-      }
-    } else if (key == "seal_interval") {
-      auto interval = ParseDouble(value);
-      if (interval.ok()) config->seal_interval = *interval;
-      status = interval.ok() ? Status::Ok() : interval.status();
-    } else if (key == "drift_bound") {
-      // The maintenance-policy spelling of stream_refine_bound: one field,
-      // two names, so the caller loop and the background scheduler can
-      // never disagree on the bound.
-      auto bound = ParseDouble(value);
-      if (bound.ok()) config->stream_refine_bound = *bound;
-      status = bound.ok() ? Status::Ok() : bound.status();
-    } else if (key == "wal_dir") {
-      config->wal_dir = value;
-    } else if (key == "checkpoint_interval") {
-      auto interval = ParseInt(value);
-      if (interval.ok()) config->checkpoint_interval = *interval;
-      status = interval.ok() ? Status::Ok() : interval.status();
-    } else if (key == "full_snapshot_interval") {
-      auto interval = ParseInt(value);
-      if (interval.ok()) config->full_snapshot_interval = *interval;
-      status = interval.ok() ? Status::Ok() : interval.status();
-    } else if (key == "fsync") {
-      config->fsync = value;
-    } else if (key == "retain_epochs") {
-      auto retain = ParseInt(value);
-      if (retain.ok()) config->retain_epochs = *retain;
-      status = retain.ok() ? Status::Ok() : retain.status();
-    } else if (key == "serve_readers") {
-      auto readers = ParseInt(value);
-      if (readers.ok()) config->serve_readers = *readers;
-      status = readers.ok() ? Status::Ok() : readers.status();
-    } else if (key == "serve_lookups") {
-      auto lookups = ParseInt(value);
-      if (lookups.ok()) config->serve_lookups = *lookups;
-      status = lookups.ok() ? Status::Ok() : lookups.status();
-    } else if (key == "serve_batch") {
-      auto batch = ParseInt(value);
-      if (batch.ok()) config->serve_batch = *batch;
-      status = batch.ok() ? Status::Ok() : batch.status();
-    } else if (key == "serve_read_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->serve_read_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key == "serve_zipf") {
-      auto zipf = ParseDouble(value);
-      if (zipf.ok()) config->serve_zipf = *zipf;
-      status = zipf.ok() ? Status::Ok() : zipf.status();
-    } else if (key == "drift") {
-      config->drift = value;
-    } else if (key == "drift_hot_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->drift_hot_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key == "drift_window_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->drift_window_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key.rfind("tenant.", 0) == 0) {
-      status = ParseTenantKey(key, value, config);
-    } else {
-      status = InvalidArgumentError("unknown scenario key '" + key + "'");
-    }
+    // Paths in a file are relative to that file.
+    const Status status =
+        key == "include"
+            ? IncludeFile(ResolvePath(include_dir, value), depth + 1, config)
+            : SetScenarioKey(
+                  key, key == "csv" ? ResolvePath(include_dir, value) : value,
+                  config);
     if (!status.ok()) {
       return InvalidArgumentError(
           StrFormat("scenario line %d: %s", line_number,
@@ -470,47 +371,41 @@ Status ParseInto(const std::string& text, const std::string& include_dir,
   return Status::Ok();
 }
 
-Status ValidateDriftKind(const std::string& key, const std::string& drift) {
-  if (drift == "none" || drift == "hotspot" || drift == "flash_crowd") {
-    return Status::Ok();
-  }
-  return InvalidArgumentError("scenario: unknown " + key + " '" + drift +
-                              "' (expected none|hotspot|flash_crowd)");
-}
-
-Status ValidateScenario(const ScenarioConfig& config) {
+// The range and cross-key rules of one configuration, shared by the top
+// level and every tenant's effective config. Messages lead with the key
+// at fault, so a tenant's can name the sub-key its section spelled.
+// `tenant` admits lookups = 0: a tenant that only ingests (the noisy
+// neighbor).
+Status CheckSettings(const ScenarioConfig& config, bool tenant) {
   if (config.algorithms.empty()) {
-    return InvalidArgumentError("scenario: no algorithms");
+    return InvalidArgumentError("no algorithms");
   }
   if (config.heights.empty()) {
-    return InvalidArgumentError("scenario: no heights");
+    return InvalidArgumentError("no heights");
   }
   if (config.seeds.empty()) {
-    return InvalidArgumentError("scenario: no seeds");
+    return InvalidArgumentError("no seeds");
   }
   if (config.task < 0) {
-    return InvalidArgumentError("scenario: task must be >= 0");
+    return InvalidArgumentError("task must be >= 0");
   }
   if (config.threads < 1) {
-    return InvalidArgumentError("scenario: threads must be >= 1");
+    return InvalidArgumentError("threads must be >= 1");
   }
   if (config.test_fraction <= 0.0 || config.test_fraction >= 1.0) {
-    return InvalidArgumentError(
-        "scenario: test_fraction must be in (0, 1)");
+    return InvalidArgumentError("test_fraction must be in (0, 1)");
   }
   if (config.stream_batch < 1) {
-    return InvalidArgumentError("scenario: stream_batch must be >= 1");
+    return InvalidArgumentError("stream_batch must be >= 1");
   }
   if (config.stream_shards < 1) {
-    return InvalidArgumentError("scenario: stream_shards must be >= 1");
+    return InvalidArgumentError("stream_shards must be >= 1");
   }
   if (config.stream_warmup_pct < 1 || config.stream_warmup_pct > 99) {
-    return InvalidArgumentError(
-        "scenario: stream_warmup_pct must be in [1, 99]");
+    return InvalidArgumentError("stream_warmup_pct must be in [1, 99]");
   }
   if (config.stream_seal_records < 0) {
-    return InvalidArgumentError(
-        "scenario: stream_seal_records must be >= 0");
+    return InvalidArgumentError("stream_seal_records must be >= 0");
   }
   // The stream, serve and multi_tenant workloads all drive the serving
   // layer; the keys below are meaningful for any of them and typos for
@@ -523,83 +418,139 @@ Status ValidateScenario(const ScenarioConfig& config) {
     // The serving layer has no region-merging post-process; silently
     // dropping the key would violate the engine's typo-proof stance.
     return InvalidArgumentError(
-        "scenario: min_region_population is not supported with "
-        "workload = stream or serve");
+        "min_region_population is not supported with workload = stream, "
+        "serve or multi_tenant");
   }
   if (config.seal_interval < 0.0) {
-    return InvalidArgumentError("scenario: seal_interval must be >= 0");
+    return InvalidArgumentError("seal_interval must be >= 0");
   }
   if (config.maintain_policy == ScenarioMaintainPolicy::kAuto &&
       !serving_workload) {
     // Background maintenance only exists on the serving path; silently
     // ignoring the key on a pipeline sweep would hide the typo.
     return InvalidArgumentError(
-        "scenario: maintain_policy = auto requires workload = stream "
-        "or serve");
+        "maintain_policy = auto requires workload = stream, serve or "
+        "multi_tenant");
   }
   if (config.seal_interval > 0.0 &&
       config.maintain_policy != ScenarioMaintainPolicy::kAuto) {
     return InvalidArgumentError(
-        "scenario: seal_interval requires maintain_policy = auto (the "
-        "caller loop seals by stream_seal_records)");
+        "seal_interval requires maintain_policy = auto (the caller loop "
+        "seals by stream_seal_records)");
   }
   if (!config.wal_dir.empty() && !serving_workload) {
     // Durability only exists on the serving path; dropping the key on a
     // pipeline sweep would hide the typo.
     return InvalidArgumentError(
-        "scenario: wal_dir requires workload = stream or serve");
+        "wal_dir requires workload = stream, serve or multi_tenant");
   }
   if (config.full_snapshot_interval < 1) {
+    return InvalidArgumentError("full_snapshot_interval must be >= 1");
+  }
+  if (config.full_snapshot_interval > 1 && config.wal_dir.empty()) {
     return InvalidArgumentError(
-        "scenario: full_snapshot_interval must be >= 1");
+        "full_snapshot_interval > 1 requires wal_dir (there are no "
+        "checkpoints to thin without a durability directory)");
   }
   if (!ParseWalFsync(config.fsync).ok()) {
-    return InvalidArgumentError("scenario: unknown fsync '" + config.fsync +
-                                "' (expected none|batch|always)");
+    return InvalidArgumentError("fsync must be none|batch|always, got '" +
+                                config.fsync + "'");
   }
   if (config.retain_epochs < 0) {
-    return InvalidArgumentError("scenario: retain_epochs must be >= 0");
+    return InvalidArgumentError("retain_epochs must be >= 0");
   }
   if (config.workload == ScenarioWorkload::kServe &&
       config.maintain_policy != ScenarioMaintainPolicy::kAuto) {
     // Serve workers never seal or refine — without the background
     // scheduler nothing would, and lookups would serve epoch 0 forever.
     return InvalidArgumentError(
-        "scenario: workload = serve requires maintain_policy = auto "
-        "(the background scheduler owns maintenance; workers only "
-        "look up and ingest)");
+        "workload = serve requires maintain_policy = auto (the background "
+        "scheduler owns maintenance; workers only look up and ingest)");
   }
   if (config.serve_readers < 1) {
-    return InvalidArgumentError("scenario: serve_readers must be >= 1");
+    return InvalidArgumentError("serve_readers must be >= 1");
   }
-  if (config.serve_lookups < 1) {
-    return InvalidArgumentError("scenario: serve_lookups must be >= 1");
+  if (config.serve_lookups < (tenant ? 0 : 1)) {
+    return InvalidArgumentError(tenant ? "serve_lookups must be >= 0"
+                                       : "serve_lookups must be >= 1");
   }
   if (config.serve_batch < 1) {
-    return InvalidArgumentError("scenario: serve_batch must be >= 1");
+    return InvalidArgumentError("serve_batch must be >= 1");
   }
   if (config.serve_read_pct < 1 || config.serve_read_pct > 100) {
-    return InvalidArgumentError(
-        "scenario: serve_read_pct must be in [1, 100]");
+    return InvalidArgumentError("serve_read_pct must be in [1, 100]");
   }
   if (config.serve_zipf < 0.0) {
-    return InvalidArgumentError("scenario: serve_zipf must be >= 0");
+    return InvalidArgumentError("serve_zipf must be >= 0");
   }
-  FAIRIDX_RETURN_IF_ERROR(ValidateDriftKind("drift", config.drift));
+  if (config.drift != "none" && config.drift != "hotspot" &&
+      config.drift != "flash_crowd") {
+    return InvalidArgumentError(
+        "drift must be none|hotspot|flash_crowd, got '" + config.drift + "'");
+  }
   if (config.drift != "none" && !serving_workload) {
     // The drift generator permutes the ingest tail; a pipeline sweep has
     // no tail, so accepting the key would hide the typo.
     return InvalidArgumentError(
-        "scenario: drift requires workload = stream, serve or "
-        "multi_tenant");
+        "drift requires workload = stream, serve or multi_tenant");
   }
   if (config.drift_hot_pct < 1 || config.drift_hot_pct > 100) {
-    return InvalidArgumentError(
-        "scenario: drift_hot_pct must be in [1, 100]");
+    return InvalidArgumentError("drift_hot_pct must be in [1, 100]");
   }
   if (config.drift_window_pct < 0 || config.drift_window_pct > 100) {
-    return InvalidArgumentError(
-        "scenario: drift_window_pct must be in [0, 100]");
+    return InvalidArgumentError("drift_window_pct must be in [0, 100]");
+  }
+  return Status::Ok();
+}
+
+// A tenant's validation error, named by the sub-key its section spelled
+// when the message leads with that sub-key's twin ("stream_batch must be
+// >= 1" -> "tenant.t1.batch must be >= 1").
+std::string TenantError(const std::string& tenant,
+                        const std::string& message) {
+  for (const TenantKey& key : kTenantKeys) {
+    const std::string twin = std::string(key.twin) + " ";
+    if (message.rfind(twin, 0) == 0) {
+      return "scenario: tenant." + tenant + "." + key.sub +
+             message.substr(twin.size() - 1);
+    }
+  }
+  return "scenario: tenant." + tenant + ": " + message;
+}
+
+}  // namespace
+
+Status SetScenarioKey(const std::string& key, const std::string& value,
+                      ScenarioConfig* config) {
+  if (key.rfind("tenant.", 0) == 0) return SetTenantKey(key, value, config);
+  for (const ScenarioKey& entry : kScenarioKeys) {
+    if (key != entry.name) continue;
+    if (entry.set == nullptr) {
+      return InvalidArgumentError(key + " splices a file, so only a "
+                                  "scenario file can hold it");
+    }
+    return entry.set(value, config);
+  }
+  return InvalidArgumentError("unknown scenario key '" + key + "'");
+}
+
+Result<ScenarioConfig> TenantEffectiveConfig(
+    const ScenarioConfig& base, const ScenarioTenantConfig& tenant) {
+  ScenarioConfig config = base;
+  for (const auto& [sub, value] : tenant.overrides) {
+    const TenantKey* key = FindTenantKey(sub);
+    if (key == nullptr) {
+      return InvalidArgumentError("unknown tenant sub-key '" + sub + "'");
+    }
+    FAIRIDX_RETURN_IF_ERROR(ApplyTenantOverride(*key, value, &config));
+  }
+  return config;
+}
+
+Status ValidateScenario(const ScenarioConfig& config) {
+  if (Status status = CheckSettings(config, /*tenant=*/false);
+      !status.ok()) {
+    return InvalidArgumentError("scenario: " + status.message());
   }
   if (config.workload == ScenarioWorkload::kMultiTenant) {
     if (config.tenants.empty()) {
@@ -621,69 +572,27 @@ Status ValidateScenario(const ScenarioConfig& config) {
         "scenario: tenant.<name>.* keys require workload = multi_tenant");
   }
   for (const ScenarioTenantConfig& tenant : config.tenants) {
-    const std::string who = "scenario: tenant." + tenant.name + ".";
-    if (tenant.height && *tenant.height < 0) {
-      return InvalidArgumentError(who + "height must be >= 0");
-    }
-    if (tenant.batch && *tenant.batch < 1) {
-      return InvalidArgumentError(who + "batch must be >= 1");
-    }
-    if (tenant.shards && *tenant.shards < 1) {
-      return InvalidArgumentError(who + "shards must be >= 1");
-    }
-    if (tenant.warmup_pct &&
-        (*tenant.warmup_pct < 1 || *tenant.warmup_pct > 99)) {
-      return InvalidArgumentError(who + "warmup_pct must be in [1, 99]");
-    }
-    if (tenant.seal_records && *tenant.seal_records < 0) {
-      return InvalidArgumentError(who + "seal_records must be >= 0");
-    }
-    if (tenant.seal_interval && *tenant.seal_interval < 0.0) {
-      return InvalidArgumentError(who + "seal_interval must be >= 0");
-    }
-    if (tenant.retain_epochs && *tenant.retain_epochs < 0) {
-      return InvalidArgumentError(who + "retain_epochs must be >= 0");
-    }
-    // lookups = 0 is the pure-ingest (noisy neighbor) tenant, so unlike
-    // serve_lookups the per-tenant floor is 0, not 1.
-    if (tenant.lookups && *tenant.lookups < 0) {
-      return InvalidArgumentError(who + "lookups must be >= 0");
-    }
-    if (tenant.read_pct &&
-        (*tenant.read_pct < 1 || *tenant.read_pct > 100)) {
-      return InvalidArgumentError(who + "read_pct must be in [1, 100]");
-    }
-    if (tenant.zipf && *tenant.zipf < 0.0) {
-      return InvalidArgumentError(who + "zipf must be >= 0");
-    }
-    if (tenant.drift) {
-      FAIRIDX_RETURN_IF_ERROR(
-          ValidateDriftKind("tenant." + tenant.name + ".drift",
-                            *tenant.drift));
-    }
-    if (tenant.fsync && !ParseWalFsync(*tenant.fsync).ok()) {
-      return InvalidArgumentError(who + "fsync must be none|batch|always");
-    }
-    if (tenant.full_snapshot_interval &&
-        *tenant.full_snapshot_interval < 1) {
-      return InvalidArgumentError(who +
-                                  "full_snapshot_interval must be >= 1");
+    Result<ScenarioConfig> effective = TenantEffectiveConfig(config, tenant);
+    const Status status = effective.ok()
+                              ? CheckSettings(*effective, /*tenant=*/true)
+                              : effective.status();
+    if (!status.ok()) {
+      return InvalidArgumentError(TenantError(tenant.name, status.message()));
     }
   }
   return Status::Ok();
 }
 
-}  // namespace
-
 std::vector<std::string> ScenarioKeyNames() {
-  return std::vector<std::string>(std::begin(kScenarioKeys),
-                                  std::end(kScenarioKeys));
+  std::vector<std::string> keys;
+  for (const ScenarioKey& key : kScenarioKeys) keys.push_back(key.name);
+  return keys;
 }
 
 std::vector<std::string> TenantScenarioKeyNames() {
   std::vector<std::string> keys;
-  for (const char* sub : kTenantKeys) {
-    keys.push_back(std::string("tenant.<name>.") + sub);
+  for (const TenantKey& key : kTenantKeys) {
+    keys.push_back(std::string("tenant.<name>.") + key.sub);
   }
   return keys;
 }
@@ -807,16 +716,7 @@ Result<ScenarioRow> RunOnePipelinePoint(const ScenarioConfig& config,
   return row;
 }
 
-// The shared stream/serve preamble: one model fit scores every record,
-// and the record stream splits into a warmup prefix (builds the initial
-// partition) and the ingest tail.
-struct StreamFeed {
-  AggregateBatch all;
-  /// Records in the warmup prefix ([0, warmup) of `all`).
-  size_t warmup = 0;
-  /// Total records (== all.cell_ids.size()).
-  size_t total = 0;
-};
+}  // namespace
 
 Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
                                   const Dataset& dataset,
@@ -865,11 +765,6 @@ Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
   return feed;
 }
 
-// The FairIndexService configuration every serving workload shares: the
-// sweep point's build/store/refine knobs, the per-point WAL
-// subdirectory, and the MaintenancePolicy — which the background loop
-// runs under maintain_policy = auto and the stream loop ticks itself
-// under maintain_policy = caller.
 Result<FairIndexServiceOptions> MakeServiceOptions(
     const ScenarioConfig& config, const ScenarioRun& run) {
   FairIndexServiceOptions options;
@@ -881,12 +776,7 @@ Result<FairIndexServiceOptions> MakeServiceOptions(
   options.store.num_threads = config.threads;
   options.refine.drift_bound = config.stream_refine_bound;
   if (!config.wal_dir.empty()) {
-    // One subdirectory per sweep point: concurrent points must never
-    // interleave their logs.
-    options.durability.wal_dir =
-        config.wal_dir + "/" + PartitionAlgorithmName(run.algorithm) +
-        "-h" + std::to_string(run.height) + "-s" +
-        std::to_string(run.seed);
+    options.durability.wal_dir = config.wal_dir;
     options.durability.checkpoint_interval = config.checkpoint_interval;
     options.durability.full_snapshot_interval =
         config.full_snapshot_interval;
@@ -912,6 +802,18 @@ Result<FairIndexServiceOptions> MakeServiceOptions(
   return options;
 }
 
+namespace {
+
+// One durability root per sweep point, so concurrent points never
+// interleave their logs: <wal_dir>/<algorithm>-h<height>-s<seed>, or ""
+// without a wal_dir.
+std::string PointWalDir(const ScenarioConfig& config,
+                        const ScenarioRun& run) {
+  if (config.wal_dir.empty()) return std::string();
+  return config.wal_dir + "/" + PartitionAlgorithmName(run.algorithm) +
+         "-h" + std::to_string(run.height) + "-s" + std::to_string(run.seed);
+}
+
 // One serving-layer sweep point: one model fit scores every record, a
 // warmup prefix builds the maintained partition, and the tail streams
 // through a FairIndexService (ingest batches, epoch seals, drift-bounded
@@ -927,6 +829,7 @@ Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
                            MakeStreamFeed(config, dataset, prototype, run));
   FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions service_options,
                            MakeServiceOptions(config, run));
+  service_options.durability.wal_dir = PointWalDir(config, run);
 
   const auto start = std::chrono::steady_clock::now();
   FAIRIDX_ASSIGN_OR_RETURN(
@@ -1099,6 +1002,7 @@ Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
                            MakeStreamFeed(config, dataset, prototype, run));
   FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions service_options,
                            MakeServiceOptions(config, run));
+  service_options.durability.wal_dir = PointWalDir(config, run);
   FAIRIDX_ASSIGN_OR_RETURN(
       std::unique_ptr<FairIndexService> service,
       FairIndexService::Create(dataset.grid(),
@@ -1185,49 +1089,6 @@ Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
   return row;
 }
 
-// The per-tenant effective view: the top-level config with this
-// tenant's overrides applied. Every key a tenant does not name inherits
-// the scenario-wide value, so the fleet defaults are stated once.
-ScenarioConfig TenantEffectiveConfig(const ScenarioConfig& base,
-                                     const ScenarioTenantConfig& tenant) {
-  ScenarioConfig cfg = base;
-  if (tenant.city) {
-    cfg.city = *tenant.city;
-    cfg.csv.clear();
-  }
-  if (tenant.batch) cfg.stream_batch = *tenant.batch;
-  if (tenant.shards) cfg.stream_shards = *tenant.shards;
-  if (tenant.warmup_pct) cfg.stream_warmup_pct = *tenant.warmup_pct;
-  if (tenant.seal_records) cfg.stream_seal_records = *tenant.seal_records;
-  if (tenant.seal_interval) cfg.seal_interval = *tenant.seal_interval;
-  if (tenant.drift_bound) cfg.stream_refine_bound = *tenant.drift_bound;
-  if (tenant.retain_epochs) cfg.retain_epochs = *tenant.retain_epochs;
-  if (tenant.lookups) cfg.serve_lookups = *tenant.lookups;
-  if (tenant.read_pct) cfg.serve_read_pct = *tenant.read_pct;
-  if (tenant.zipf) cfg.serve_zipf = *tenant.zipf;
-  if (tenant.drift) cfg.drift = *tenant.drift;
-  if (tenant.fsync) cfg.fsync = *tenant.fsync;
-  if (tenant.checkpoint_interval) {
-    cfg.checkpoint_interval = *tenant.checkpoint_interval;
-  }
-  if (tenant.full_snapshot_interval) {
-    cfg.full_snapshot_interval = *tenant.full_snapshot_interval;
-  }
-  return cfg;
-}
-
-ScenarioRun TenantEffectiveRun(const ScenarioRun& base,
-                               const ScenarioTenantConfig& tenant) {
-  ScenarioRun run = base;
-  if (tenant.algorithm) {
-    // Validated at parse time; value() cannot fail here.
-    run.algorithm = ParsePartitionAlgorithm(*tenant.algorithm).value();
-  }
-  if (tenant.height) run.height = *tenant.height;
-  if (tenant.seed) run.seed = *tenant.seed;
-  return run;
-}
-
 // One multi-tenant sweep point: every tenant.<name>.* section becomes a
 // tenant of ONE TenantRegistry — its own grid/store/partition/WAL
 // namespace and per-tenant MaintenancePolicy, all maintained by the one
@@ -1241,6 +1102,13 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
     const ScenarioConfig& config, const Dataset& dataset,
     const Classifier& prototype, const ScenarioRun& run) {
   const size_t n = config.tenants.size();
+  // Each tenant's config is this point's config (the sweep axes narrowed
+  // to `run`) with the tenant's overrides applied, so an override of
+  // algorithm, height or seed moves the tenant off the point's value.
+  ScenarioConfig point = config;
+  point.algorithms = {run.algorithm};
+  point.heights = {run.height};
+  point.seeds = {run.seed};
   std::vector<ScenarioConfig> effs;
   std::vector<ScenarioRun> eff_runs;
   std::vector<StreamFeed> feeds;
@@ -1254,11 +1122,15 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
   specs.reserve(n);
   grids.reserve(n);
   for (const ScenarioTenantConfig& tenant : config.tenants) {
-    effs.push_back(TenantEffectiveConfig(config, tenant));
-    eff_runs.push_back(TenantEffectiveRun(run, tenant));
+    FAIRIDX_ASSIGN_OR_RETURN(ScenarioConfig tenant_config,
+                             TenantEffectiveConfig(point, tenant));
+    effs.push_back(std::move(tenant_config));
     const ScenarioConfig& eff = effs.back();
+    eff_runs.push_back(
+        ScenarioRun{eff.algorithms[0], eff.heights[0], eff.seeds[0]});
     const Dataset* data = &dataset;
-    if (tenant.city) {
+    if (std::any_of(tenant.overrides.begin(), tenant.overrides.end(),
+                    [](const auto& line) { return line.first == "city"; })) {
       // A city override gives the tenant its own dataset AND grid shape.
       FAIRIDX_ASSIGN_OR_RETURN(Dataset tenant_dataset,
                                LoadScenarioDataset(eff));
@@ -1268,7 +1140,7 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
     FAIRIDX_ASSIGN_OR_RETURN(
         StreamFeed feed,
         MakeStreamFeed(eff, *data, prototype, eff_runs.back()));
-    // The registry rewrites durability.wal_dir to its own namespace
+    // The registry roots durability.wal_dir in its own namespace
     // (<point root>/<tenant>); the other durability knobs stand.
     FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions options,
                              MakeServiceOptions(eff, eff_runs.back()));
@@ -1282,11 +1154,7 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
   // One durability root per sweep point (the registry appends /<tenant>
   // per tenant), same naming as the single-tenant workloads.
   TenantRegistryOptions registry_options;
-  if (!config.wal_dir.empty()) {
-    registry_options.wal_dir =
-        config.wal_dir + "/" + PartitionAlgorithmName(run.algorithm) +
-        "-h" + std::to_string(run.height) + "-s" + std::to_string(run.seed);
-  }
+  registry_options.wal_dir = PointWalDir(config, run);
   // Recover-or-create when durable (a rerun over the same root resumes
   // the previous run's tenants; a corrupt tenant degrades instead of
   // failing the point), plain create otherwise.

@@ -7,99 +7,14 @@
 // and CI smoke tests all drive experiments through these structs instead
 // of ad-hoc flag plumbing.
 //
-// File format (one `key = value` per line):
-//
-//   # comment                       full-line or trailing comments
-//   include = base.cfg              splice another file (relative to the
-//                                   including file; later keys override)
-//   name = paper-sweep              free-form label
-//   city = la | houston             synthetic city (ignored when csv set)
-//   csv = data/extract.csv          EdGap-style CSV instead of a city
-//   classifier = lr | tree | nb
-//   algorithms = fair_kd_tree, median_kd_tree     (registry names)
-//   heights = 4, 6, 8    or    heights = 4..10    (sweep list / range)
-//   seeds = 1, 2, 3                 split seeds (one run per seed)
-//   task = 0
-//   threads = 2                     sweep + partition parallelism
-//   test_fraction = 0.25
-//   min_region_population = 0       region-merging post-process
-//   workload = pipeline | stream    what each sweep point executes
-//            | serve
-//   stream_batch = 500              stream: records per ingest batch
-//   stream_shards = 4               stream: ShardedDeltaStore shards
-//   stream_refine_bound = 0.02      stream: drift bound (< 0: no refine)
-//   stream_warmup_pct = 50          stream: warmup prefix percentage
-//   stream_seal_records = 0         stream: seal when this many records
-//                                   are pending (0: seal every batch)
-//   maintain_policy = caller        stream: who runs maintenance.
-//                    | auto         caller (default) ticks the
-//                                   maintenance policy from the ingest
-//                                   loop; auto starts the service-owned
-//                                   background maintenance loop
-//                                   (service/maintenance_scheduler.h) and
-//                                   the ingest loop only ingests
-//   seal_interval = 0.05            stream+auto: background wall-clock
-//                                   seal cadence in seconds (0: record
-//                                   cadence only; with it set and
-//                                   stream_seal_records = 0, the wall
-//                                   clock alone governs)
-//   drift_bound = 0.02              the maintenance-policy spelling of
-//                                   stream_refine_bound (same field;
-//                                   later key wins, < 0: never refine)
-//   wal_dir = /tmp/fairidx-wal      stream: write-ahead log + checkpoint
-//                                   directory (empty: durability off).
-//                                   Each sweep point logs under its own
-//                                   <algorithm>-h<height>-s<seed>/
-//                                   subdirectory so points never share a
-//                                   log
-//   checkpoint_interval = 8         stream+wal: checkpoint every N sealed
-//                                   epochs (<= 0: only the initial one)
-//   full_snapshot_interval = 1      stream+wal: every Nth checkpoint is a
-//                                   full snapshot; the rest are delta
-//                                   checkpoints carrying only the cells
-//                                   dirtied since the previous one
-//                                   (<= 1: every checkpoint is full)
-//   fsync = batch                   stream+wal: none | batch | always
-//                                   (see service/wal.h for the window
-//                                   each mode leaves open)
-//   retain_epochs = 0               stream: after each maintenance pass
-//                                   keep only the newest N sealed
-//                                   snapshots (+ reader-pinned ones);
-//                                   0 keeps the full history
-//   serve_readers = 2               serve: concurrent worker threads
-//                                   issuing mixed lookup/ingest traffic
-//                                   against the live service
-//   serve_lookups = 50000           serve: lookup points per worker
-//   serve_batch = 64                serve: points per LookupMany call
-//                                   (one latency sample per call)
-//   serve_read_pct = 90             serve: percent of worker operations
-//                                   that are lookup batches; the rest
-//                                   ingest the stream tail (always fully
-//                                   drained, whatever the coin flips)
-//   serve_zipf = 0.99               serve: Zipf exponent for hot-cell
-//                                   skew in the lookup points (0 draws
-//                                   cells uniformly)
-//   drift = none | hotspot          serving workloads: deterministic
-//         | flash_crowd             drift generator for the ingest tail.
-//                                   hotspot sweeps arrivals across the
-//                                   grid column by column (a moving hot
-//                                   zone); flash_crowd pulls the hot
-//                                   column band's records into one
-//                                   contiguous burst. Both are pure
-//                                   permutations of the tail — the
-//                                   record multiset is unchanged
-//   drift_hot_pct = 20              hotspot: percent of the stream each
-//                                   sweep band occupies; flash_crowd:
-//                                   percent of grid columns in the hot
-//                                   band
-//   drift_window_pct = 50           flash_crowd: how far into the tail
-//                                   (percent) the burst lands
-//   tenant.<name>.<key> = ...       workload = multi_tenant: per-tenant
-//                                   override sections (see
-//                                   TenantScenarioKeyNames() and the
-//                                   reference doc); every tenant starts
-//                                   from the top-level keys and
-//                                   overrides what it names
+// File format: one `key = value` per line. `#` starts a comment, lists
+// are comma-separated (heights also take `lo..hi` ranges), and
+// `include = other.cfg` splices another file, resolved relative to the
+// including one (later keys override). Each key's type, default and
+// meaning is in docs/scenario_reference.md; its key tables are
+// test-pinned against ScenarioKeyNames() and TenantScenarioKeyNames(),
+// the lists the parser itself uses. `fairidx_cli stream` flags set the
+// same keys (tools/cli_spec.h records which flag sets which key).
 //
 // `workload = multi_tenant` hosts every `tenant.<name>.*` section in ONE
 // TenantRegistry (service/tenant_registry.h): per-tenant grids, stores,
@@ -139,14 +54,15 @@
 #define FAIRIDX_CORE_SCENARIO_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "core/experiment_config.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
+#include "service/fair_index_service.h"
 
 namespace fairidx {
 
@@ -180,50 +96,17 @@ enum class ScenarioMaintainPolicy {
   kAuto,
 };
 
-/// One tenant's override section (workload = multi_tenant): every field
-/// left unset inherits the top-level key of the same meaning, so a
-/// scenario states the fleet-wide defaults once and each tenant only
-/// what makes it different. Parsed from `tenant.<name>.<key> = value`
-/// lines; sections are kept in first-appearance order.
+/// One tenant's override section (workload = multi_tenant). Each
+/// sub-key overrides one top-level key (its twin) and everything else
+/// inherits, so a scenario states the fleet-wide defaults once and each
+/// tenant only what makes it different (see TenantEffectiveConfig).
+/// Sections are kept in first-appearance order.
 struct ScenarioTenantConfig {
   /// Unique tenant name ([A-Za-z0-9_-]+; it names the tenant's WAL
   /// namespace directory).
   std::string name;
-  /// Overrides `city` (the tenant then generates its own dataset and
-  /// grid shape instead of sharing the scenario's).
-  std::optional<std::string> city;
-  /// Overrides the sweep point's algorithm for this tenant.
-  std::optional<std::string> algorithm;
-  /// Overrides the sweep point's tree height.
-  std::optional<int> height;
-  /// Overrides the sweep point's split seed.
-  std::optional<uint64_t> seed;
-  /// Overrides stream_batch / stream_shards / stream_warmup_pct /
-  /// stream_seal_records for this tenant.
-  std::optional<int> batch;
-  std::optional<int> shards;
-  std::optional<int> warmup_pct;
-  std::optional<long long> seal_records;
-  /// Overrides seal_interval (per-tenant wall-clock seal cadence).
-  std::optional<double> seal_interval;
-  /// Overrides drift_bound / stream_refine_bound (< 0: never refine).
-  std::optional<double> drift_bound;
-  /// Overrides retain_epochs (per-tenant snapshot retention).
-  std::optional<int> retain_epochs;
-  /// Overrides serve_lookups; 0 is allowed HERE and makes the tenant a
-  /// pure ingester (the noisy neighbor — no lookups, full-rate writes).
-  std::optional<long long> lookups;
-  /// Overrides serve_read_pct for this tenant's worker.
-  std::optional<int> read_pct;
-  /// Overrides serve_zipf.
-  std::optional<double> zipf;
-  /// Overrides drift (none | hotspot | flash_crowd).
-  std::optional<std::string> drift;
-  /// Overrides fsync / checkpoint_interval / full_snapshot_interval
-  /// (per-tenant durability, inside the tenant's own namespace).
-  std::optional<std::string> fsync;
-  std::optional<long long> checkpoint_interval;
-  std::optional<long long> full_snapshot_interval;
+  /// (sub-key, value) per override line, in file order.
+  std::vector<std::pair<std::string, std::string>> overrides;
 };
 
 /// One parsed scenario file (after include resolution).
@@ -312,6 +195,26 @@ std::vector<std::string> ScenarioKeyNames();
 /// TenantScenarioKeyNames() concatenated.
 std::vector<std::string> TenantScenarioKeyNames();
 
+/// Sets one setting on `config`: any key of ScenarioKeyNames() but
+/// `include`, or a `tenant.<name>.<sub>` line. Scenario files, tenant
+/// sections and `fairidx_cli stream` flags all parse values here.
+/// Numbers parse strictly (NaN and infinities are errors); ranges and
+/// cross-key rules are ValidateScenario's. `csv` is taken as given.
+Status SetScenarioKey(const std::string& key, const std::string& value,
+                      ScenarioConfig* config);
+
+/// Checks every range and cross-key rule of `config`, then the same
+/// rules on each tenant's effective config (errors then name the
+/// `tenant.<name>.<sub>` key), where `lookups = 0` is also allowed: the
+/// pure ingester.
+Status ValidateScenario(const ScenarioConfig& config);
+
+/// `base` with the tenant's lines applied in order, each through
+/// SetScenarioKey on the sub-key's twin. A city override also clears
+/// `csv`, and `algorithm`/`height`/`seed` take exactly one value.
+Result<ScenarioConfig> TenantEffectiveConfig(
+    const ScenarioConfig& base, const ScenarioTenantConfig& tenant);
+
 /// The deterministic tail permutation a drift generator applies:
 /// absolute indices into `cell_ids` covering exactly [warmup, size), in
 /// emission order. `drift` must be "hotspot" or "flash_crowd"
@@ -344,6 +247,30 @@ std::vector<ScenarioRun> ExpandScenario(const ScenarioConfig& config);
 
 /// Loads the dataset a scenario names (CSV when set, city otherwise).
 Result<Dataset> LoadScenarioDataset(const ScenarioConfig& config);
+
+/// The record stream every serving workload replays: one model fit
+/// scores every record, a warmup prefix builds the initial partition,
+/// and the rest is the ingest tail (permuted by `drift`, if set).
+struct StreamFeed {
+  AggregateBatch all;
+  /// Records in the warmup prefix ([0, warmup) of `all`).
+  size_t warmup = 0;
+  /// Total records (== all.cell_ids.size()).
+  size_t total = 0;
+};
+
+Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
+                                  const Dataset& dataset,
+                                  const Classifier& prototype,
+                                  const ScenarioRun& run);
+
+/// The FairIndexService options of one serving point. The
+/// MaintenancePolicy runs on the background loop under maintain_policy
+/// = auto and is ticked by the ingest loop under caller. Durability is
+/// rooted at `wal_dir` itself; sweep runners give each point its own
+/// subdirectory.
+Result<FairIndexServiceOptions> MakeServiceOptions(
+    const ScenarioConfig& config, const ScenarioRun& run);
 
 /// One sweep point's results.
 struct ScenarioRow {

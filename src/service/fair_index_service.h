@@ -5,7 +5,8 @@
 // index over streaming data. It owns four pieces:
 //
 //   * a ShardedDeltaStore — the epoch-based sharded aggregate store
-//     (writers append per-shard, readers query sealed snapshots);
+//     (writers append whole batches, seals fold them per shard,
+//     readers query sealed snapshots);
 //   * a registry-built Partitioner (any supports_refine structure: the
 //     Fair KD-tree, the median KD-tree, the greedy fair quadtree, ...)
 //     holding the maintained partition and its recorded split tree;

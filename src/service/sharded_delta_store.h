@@ -14,9 +14,9 @@
 //
 // Epoch lifecycle:
 //
-//     Ingest(batch)  ->  pending (per-shard slices, tagged with the
-//                        batch's global sequence number)
-//     Seal()         ->  cut: swap out all pending slices at a consistent
+//     Ingest(batch)  ->  pending (the whole batch, tagged with its
+//                        global sequence number)
+//     Seal()         ->  cut: swap out all pending batches at a consistent
 //                        batch boundary, fold them (per shard, in seq
 //                        order) into the cumulative per-cell sums,
 //                        integrate a fresh prefix snapshot straight from

@@ -6,27 +6,22 @@
 #include "service/checkpoint.h"
 
 namespace fairidx {
-namespace {
 
-// Tenant names double as on-disk directory names, so the accepted
-// alphabet must not allow path traversal or separators.
 Status ValidateTenantName(const std::string& name) {
   if (name.empty()) {
-    return InvalidArgumentError("TenantRegistry: empty tenant name");
+    return InvalidArgumentError("empty tenant name");
   }
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == '-';
     if (!ok) {
       return InvalidArgumentError(
-          "TenantRegistry: tenant name '" + name +
+          "tenant name '" + name +
           "' must match [A-Za-z0-9_-]+ (it names a directory)");
     }
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 Result<std::unique_ptr<TenantRegistry>> TenantRegistry::Create(
     std::vector<TenantSpec> specs, const TenantRegistryOptions& options) {

@@ -46,6 +46,12 @@
 
 namespace fairidx {
 
+/// The one tenant-name rule: names double as on-disk namespace
+/// directories, so only [A-Za-z0-9_-]+ is accepted (no separators, no
+/// traversal). Scenario tenant sections and `fairidx_cli stream
+/// --tenant` check names with it too.
+Status ValidateTenantName(const std::string& name);
+
 /// One tenant's full configuration: a name (its identity and its
 /// durability namespace), a grid, the warmup batch that builds its
 /// initial partition, and the per-tenant service options — including

@@ -6,6 +6,7 @@
 // README flag table against the spec, the same doc-equality contract
 // serve_scenario_test.cc enforces for docs/scenario_reference.md.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "../tools/cli_spec.h"
+#include "core/scenario.h"
 
 namespace fairidx {
 namespace cli {
@@ -92,6 +94,39 @@ TEST(CliSpecTest, ReadmeFlagTableMatchesSpec) {
     spec_flags.push_back(spec.name);
   }
   EXPECT_EQ(table_flags, spec_flags);
+}
+
+// `stream` applies each flag as the scenario key its spec row names, so
+// every stream flag must name a key the scenario parser accepts, or be
+// one of the few that exist only on the CLI. No two flags may share a
+// key (flag order would then decide the setting), and a boolean flag's
+// fixed value must parse.
+TEST(CliSpecTest, StreamFlagsMapToScenarioKeys) {
+  const std::vector<std::string> cli_only = {"tenant", "regions-out",
+                                             "crash-after-batches", "help"};
+  const std::vector<std::string> keys = ScenarioKeyNames();
+  std::vector<std::string> used;
+  for (const CliFlagSpec& spec : kCliFlags) {
+    if (!CliCommandHasFlag("stream", spec.name)) {
+      EXPECT_STREQ(spec.scenario_key, "") << spec.name;
+      continue;
+    }
+    const std::string key = spec.scenario_key;
+    if (std::find(cli_only.begin(), cli_only.end(), spec.name) !=
+        cli_only.end()) {
+      EXPECT_EQ(key, "") << spec.name;
+      continue;
+    }
+    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+        << "--" << spec.name << " -> '" << key << "'";
+    EXPECT_EQ(std::find(used.begin(), used.end(), key), used.end()) << key;
+    used.push_back(key);
+    if (spec.value[0] == '\0') {
+      ScenarioConfig config;
+      EXPECT_TRUE(SetScenarioKey(key, spec.scenario_value, &config).ok())
+          << spec.name;
+    }
+  }
 }
 
 TEST(CliSpecTest, CommandMembershipQueries) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,17 +42,124 @@ TEST(MultiTenantParseTest, ParsesTenantSectionsInFirstAppearanceOrder) {
   ASSERT_EQ(config->tenants.size(), 2u);
   EXPECT_EQ(config->tenants[0].name, "la-east");
   EXPECT_EQ(config->tenants[1].name, "firehose");
-  ASSERT_TRUE(config->tenants[0].seal_records.has_value());
-  EXPECT_EQ(*config->tenants[0].seal_records, 400);
-  ASSERT_TRUE(config->tenants[0].height.has_value());
-  EXPECT_EQ(*config->tenants[0].height, 6);
-  ASSERT_TRUE(config->tenants[1].lookups.has_value());
-  EXPECT_EQ(*config->tenants[1].lookups, 0);
-  ASSERT_TRUE(config->tenants[1].drift.has_value());
-  EXPECT_EQ(*config->tenants[1].drift, "flash_crowd");
+  using Overrides = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(config->tenants[0].overrides,
+            (Overrides{{"seal_records", "400"}, {"height", "6"}}));
+  EXPECT_EQ(config->tenants[1].overrides,
+            (Overrides{{"lookups", "0"}, {"drift", "flash_crowd"}}));
+  const auto east = TenantEffectiveConfig(*config, config->tenants[0]);
+  ASSERT_TRUE(east.ok()) << east.status();
+  EXPECT_EQ(east->stream_seal_records, 400);
+  EXPECT_EQ(east->heights, std::vector<int>{6});
+  const auto firehose = TenantEffectiveConfig(*config, config->tenants[1]);
+  ASSERT_TRUE(firehose.ok()) << firehose.status();
+  EXPECT_EQ(firehose->serve_lookups, 0);
+  EXPECT_EQ(firehose->drift, "flash_crowd");
   // Unset sub-keys stay unset — they inherit at run time, so the config
   // records only what the section overrode.
-  EXPECT_FALSE(config->tenants[0].zipf.has_value());
+  EXPECT_EQ(east->serve_zipf, config->serve_zipf);
+}
+
+// A tenant override line is its twin's top-level line applied to the
+// tenant's copy: for every sub-key, the effective config of
+// `tenant.t1.<sub> = v` equals the base config with `<twin> = v` set.
+// The twin table is spelled out here, and every value differs from the
+// default, so a sub-key that quietly moved to another top-level key
+// fails.
+TEST(MultiTenantParseTest, EffectiveConfigAppliesTheTwinKey) {
+  struct Case {
+    const char* sub;
+    const char* twin;
+    const char* value;
+  };
+  const std::vector<Case> cases = {
+      {"city", "city", "houston"},
+      {"algorithm", "algorithms", "median_kd_tree"},
+      {"height", "heights", "5"},
+      {"seed", "seeds", "9"},
+      {"batch", "stream_batch", "7"},
+      {"shards", "stream_shards", "3"},
+      {"warmup_pct", "stream_warmup_pct", "30"},
+      {"seal_records", "stream_seal_records", "11"},
+      {"seal_interval", "seal_interval", "0.5"},
+      {"drift_bound", "stream_refine_bound", "0.125"},
+      {"retain_epochs", "retain_epochs", "4"},
+      {"lookups", "serve_lookups", "0"},
+      {"read_pct", "serve_read_pct", "55"},
+      {"zipf", "serve_zipf", "1.5"},
+      {"drift", "drift", "hotspot"},
+      {"fsync", "fsync", "always"},
+      {"checkpoint_interval", "checkpoint_interval", "3"},
+      {"full_snapshot_interval", "full_snapshot_interval", "2"},
+  };
+  const std::vector<std::string> names = TenantScenarioKeyNames();
+  ASSERT_EQ(names.size(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(c.sub);
+    EXPECT_EQ(names[i], std::string("tenant.<name>.") + c.sub);
+    ScenarioConfig base;
+    base.workload = ScenarioWorkload::kMultiTenant;
+    ASSERT_TRUE(
+        SetScenarioKey(std::string("tenant.t1.") + c.sub, c.value, &base)
+            .ok());
+    ASSERT_EQ(base.tenants.size(), 1u);
+    const auto effective = TenantEffectiveConfig(base, base.tenants[0]);
+    ASSERT_TRUE(effective.ok()) << effective.status();
+    ScenarioConfig want = base;
+    ASSERT_TRUE(SetScenarioKey(c.twin, c.value, &want).ok());
+    EXPECT_EQ(effective->city, want.city);
+    EXPECT_EQ(effective->csv, want.csv);
+    EXPECT_EQ(effective->algorithms, want.algorithms);
+    EXPECT_EQ(effective->heights, want.heights);
+    EXPECT_EQ(effective->seeds, want.seeds);
+    EXPECT_EQ(effective->stream_batch, want.stream_batch);
+    EXPECT_EQ(effective->stream_shards, want.stream_shards);
+    EXPECT_EQ(effective->stream_warmup_pct, want.stream_warmup_pct);
+    EXPECT_EQ(effective->stream_seal_records, want.stream_seal_records);
+    EXPECT_EQ(effective->seal_interval, want.seal_interval);
+    EXPECT_EQ(effective->stream_refine_bound, want.stream_refine_bound);
+    EXPECT_EQ(effective->retain_epochs, want.retain_epochs);
+    EXPECT_EQ(effective->serve_lookups, want.serve_lookups);
+    EXPECT_EQ(effective->serve_read_pct, want.serve_read_pct);
+    EXPECT_EQ(effective->serve_zipf, want.serve_zipf);
+    EXPECT_EQ(effective->drift, want.drift);
+    EXPECT_EQ(effective->fsync, want.fsync);
+    EXPECT_EQ(effective->checkpoint_interval, want.checkpoint_interval);
+    EXPECT_EQ(effective->full_snapshot_interval,
+              want.full_snapshot_interval);
+  }
+  // A city override makes the tenant generate that city, so it drops a
+  // top-level csv.
+  ScenarioConfig base;
+  base.csv = "extract.csv";
+  ASSERT_TRUE(SetScenarioKey("tenant.t1.city", "houston", &base).ok());
+  const auto effective = TenantEffectiveConfig(base, base.tenants[0]);
+  ASSERT_TRUE(effective.ok()) << effective.status();
+  EXPECT_EQ(effective->city, "houston");
+  EXPECT_TRUE(effective->csv.empty());
+}
+
+// The tenant-only rules: algorithm, height and seed name the tenant's
+// one point, so each takes exactly one value, and every numeric
+// sub-key rejects NaN and infinities like its top-level twin.
+TEST(MultiTenantParseTest, RejectsListsAndNonFiniteTenantValues) {
+  const std::string base =
+      "workload = multi_tenant\nmaintain_policy = auto\n"
+      "seal_interval = 0.01\n";
+  for (const char* line :
+       {"tenant.t1.height = 4..6", "tenant.t1.height = 4, 5",
+        "tenant.t1.seed = 1, 2", "tenant.t1.algorithm = all",
+        "tenant.t1.zipf = nan", "tenant.t1.drift_bound = nan",
+        "tenant.t1.seal_interval = inf", "tenant.t1.zipf = -inf"}) {
+    const auto config = ParseScenarioText(base + line + "\n", "");
+    ASSERT_FALSE(config.ok()) << line;
+    // Parse-time: the error names the offending line.
+    EXPECT_NE(config.status().ToString().find("scenario line 4"),
+              std::string::npos)
+        << config.status().ToString();
+  }
+  EXPECT_TRUE(ParseScenarioText(base + "tenant.t1.height = 5\n", "").ok());
 }
 
 // Every documented tenant sub-key round-trips through the parser; a
@@ -242,18 +350,11 @@ TEST(MultiTenantEngineTest, RunsNoisyNeighborPoint) {
   config.serve_read_pct = 80;
   config.serve_zipf = 0.99;
 
-  ScenarioTenantConfig serving;
-  serving.name = "serving";
-  ScenarioTenantConfig finer;
-  finer.name = "finer";
-  finer.height = 5;
-  finer.drift = "hotspot";
-  ScenarioTenantConfig firehose;
-  firehose.name = "firehose";
-  firehose.lookups = 0;
-  firehose.seal_records = 0;
-  firehose.drift = "flash_crowd";
-  config.tenants = {serving, finer, firehose};
+  config.tenants = {
+      {"serving", {}},
+      {"finer", {{"height", "5"}, {"drift", "hotspot"}}},
+      {"firehose",
+       {{"lookups", "0"}, {"seal_records", "0"}, {"drift", "flash_crowd"}}}};
 
   CityConfig city;
   city.num_records = 400;
@@ -301,12 +402,7 @@ TEST(MultiTenantEngineTest, DeterministicColumnsAcrossReruns) {
   config.serve_lookups = 500;
   config.serve_batch = 16;
   config.serve_read_pct = 70;
-  ScenarioTenantConfig a;
-  a.name = "a";
-  ScenarioTenantConfig b;
-  b.name = "b";
-  b.drift = "hotspot";
-  config.tenants = {a, b};
+  config.tenants = {{"a", {}}, {"b", {{"drift", "hotspot"}}}};
 
   CityConfig city;
   city.num_records = 300;

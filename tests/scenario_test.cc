@@ -311,6 +311,46 @@ TEST(ScenarioParseTest, RejectsBadDurabilityKeys) {
                    .ok());
 }
 
+// Delta checkpoints thin a checkpoint chain that only exists with a
+// wal_dir, so full_snapshot_interval > 1 without one is an error — at
+// the top level and in any tenant's effective config.
+TEST(ScenarioParseTest, FullSnapshotIntervalRequiresWalDir) {
+  const auto bare =
+      ParseScenarioText("workload = stream\nfull_snapshot_interval = 4\n", "");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_NE(bare.status().ToString().find("full_snapshot_interval"),
+            std::string::npos)
+      << bare.status().ToString();
+  EXPECT_TRUE(ParseScenarioText("workload = stream\nwal_dir = /tmp/x\n"
+                                "full_snapshot_interval = 4\n",
+                                "")
+                  .ok());
+  const std::string tenants =
+      "workload = multi_tenant\nmaintain_policy = auto\n"
+      "seal_interval = 0.01\ntenant.t1.full_snapshot_interval = 4\n";
+  const auto tenant = ParseScenarioText(tenants, "");
+  ASSERT_FALSE(tenant.ok());
+  EXPECT_NE(tenant.status().ToString().find(
+                "tenant.t1.full_snapshot_interval"),
+            std::string::npos)
+      << tenant.status().ToString();
+  EXPECT_TRUE(ParseScenarioText(tenants + "wal_dir = /tmp/x\n", "").ok());
+}
+
+// The serving-only keys name every workload that accepts them.
+TEST(ScenarioParseTest, ServingOnlyKeysNameEveryServingWorkload) {
+  for (const char* text :
+       {"wal_dir = /tmp/x\n", "maintain_policy = auto\n",
+        "workload = stream\nmin_region_population = 5\n"}) {
+    const auto config = ParseScenarioText(text, "");
+    ASSERT_FALSE(config.ok()) << text;
+    EXPECT_NE(config.status().ToString().find(
+                  "stream, serve or multi_tenant"),
+              std::string::npos)
+        << config.status().ToString();
+  }
+}
+
 // Satellite pin for scenario-level parallelism: sweep points run on the
 // shared pool, and the report must be bit-identical at any thread count
 // (deterministic result ordering AND values).

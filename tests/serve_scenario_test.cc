@@ -77,6 +77,23 @@ TEST(ServeScenarioParseTest, RejectsBadServeValues) {
   EXPECT_FALSE(ParseScenarioText(base + "serve_read_pct = 0\n", "").ok());
   EXPECT_FALSE(ParseScenarioText(base + "serve_read_pct = 101\n", "").ok());
   EXPECT_FALSE(ParseScenarioText(base + "serve_zipf = -0.5\n", "").ok());
+  // NaN passes every range check (each comparison is false) and an
+  // infinite cadence or bound means nothing, so every double key
+  // rejects both at parse time.
+  for (const char* line :
+       {"test_fraction = nan", "serve_zipf = nan", "serve_zipf = inf",
+        "seal_interval = inf", "seal_interval = nan",
+        "stream_refine_bound = nan", "stream_refine_bound = -inf",
+        "drift_bound = inf", "min_region_population = nan"}) {
+    const auto config = ParseScenarioText(base + line + "\n", "");
+    ASSERT_FALSE(config.ok()) << line;
+    EXPECT_NE(config.status().ToString().find("scenario line 4"),
+              std::string::npos)
+        << config.status().ToString();
+  }
+  // A finite negative refine bound still means "never refine".
+  EXPECT_TRUE(
+      ParseScenarioText(base + "stream_refine_bound = -1\n", "").ok());
   // Serve keys still reject typos like every other key.
   EXPECT_FALSE(ParseScenarioText(base + "serve_reader = 2\n", "").ok());
 }

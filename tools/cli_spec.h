@@ -2,13 +2,15 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // The fairidx_cli flag specification: one table naming every flag, the
-// subcommands it applies to, its value hint, and its one-line help.
+// subcommands it applies to, its value hint, its one-line help, and the
+// scenario key `stream` sets from it.
 // fairidx_cli.cc generates `--help` from this table AND validates
 // parsed flags against it (an unknown flag is an error, not a silent
 // no-op), so the help text and the accepted-flag set cannot drift
 // apart. tests/cli_spec_test.cc pins the table against the README flag
 // table the same way serve_scenario_test.cc pins ScenarioKeyNames()
-// against docs/scenario_reference.md.
+// against docs/scenario_reference.md, and checks that every scenario
+// key column names a key the scenario parser accepts.
 //
 // Header-only on purpose: the test includes it relatively
 // (#include "../tools/cli_spec.h") without any build wiring.
@@ -31,6 +33,13 @@ struct CliFlagSpec {
   const char* value;
   /// One-line help.
   const char* help;
+  /// The scenario key `stream` sets from this flag ("" for the flags
+  /// that exist only on the CLI, and for flags `stream` does not take).
+  /// `stream` applies each given flag through SetScenarioKey, so a flag
+  /// and its key are one setting with one parser and one validator.
+  const char* scenario_key = "";
+  /// For a boolean flag: the value its presence gives scenario_key.
+  const char* scenario_value = "";
 };
 
 /// Every flag fairidx_cli accepts, grouped by theme. Order is the
@@ -38,52 +47,65 @@ struct CliFlagSpec {
 inline constexpr CliFlagSpec kCliFlags[] = {
     // Dataset selection (shared by every data-driven subcommand).
     {"city", "generate run sweep disparity export stream", "la|houston",
-     "synthetic city to generate (default la)"},
+     "synthetic city to generate (default la)", "city"},
     {"csv", "generate run sweep disparity export stream", "FILE",
-     "EdGap-style CSV extract instead of a synthetic city"},
+     "EdGap-style CSV extract instead of a synthetic city", "csv"},
     // Batch pipeline.
     {"algorithm", "run sweep export stream", "NAME",
      "partition algorithm (fair_kd_tree|median_kd_tree|"
-     "iterative_fair_kd_tree|uniform_grid_reweight|fair_quadtree)"},
-    {"height", "run export stream", "N", "partition tree height (default 6)"},
+     "iterative_fair_kd_tree|grid_reweighting|fair_quadtree)",
+     "algorithm"},
+    {"height", "run export stream", "N", "partition tree height (default 6)",
+     "height"},
     {"classifier", "run sweep", "lr|tree|nb",
      "classifier trained per region (default lr)"},
     {"task", "run sweep", "K", "label column index (default 0)"},
     {"threads", "run sweep export stream", "N",
-     "parallel partition-build / store threads (default 1)"},
+     "parallel partition-build / store threads (default 1)", "threads"},
     {"out", "generate export", "FILE", "output path"},
     {"wkt", "export", "FILE", "also write region polygons as WKT"},
     {"top", "disparity", "K", "zip codes per table side (default 10)"},
     // Streaming / serving.
-    {"seed", "stream", "N", "train/test split seed (default 20240601)"},
-    {"batch", "stream", "N", "records per ingest batch (default 200)"},
+    {"seed", "stream", "N", "train/test split seed (default 20240601)",
+     "seed"},
+    {"batch", "stream", "N", "records per ingest batch (default 200)",
+     "stream_batch"},
     {"warmup-pct", "stream", "P",
-     "warmup prefix percent that builds the initial partition (default 50)"},
-    {"shards", "stream", "N", "delta-store ingest shards (default 1)"},
+     "warmup prefix percent that builds the initial partition (default 50)",
+     "stream_warmup_pct"},
+    {"shards", "stream", "N",
+     "delta-store shards the seal fold splits across (default 1)",
+     "stream_shards"},
     {"seal-records", "stream", "N",
-     "records pending before an epoch seal (0 = seal every batch)"},
+     "records pending before an epoch seal (0 = seal every batch)",
+     "stream_seal_records"},
     {"refine-bound", "stream", "B",
-     "incremental subtree re-splits when region drift exceeds B"},
+     "incremental subtree re-splits when region drift exceeds B",
+     "stream_refine_bound"},
     {"auto-maintain", "stream", "",
-     "background maintenance thread seals/refines instead of the loop"},
+     "background maintenance thread seals/refines instead of the loop",
+     "maintain_policy", "auto"},
     {"seal-interval", "stream", "S",
-     "auto-maintain wall-clock seal cadence in seconds"},
+     "auto-maintain wall-clock seal cadence in seconds", "seal_interval"},
     // Durability.
     {"wal", "stream", "DIR",
      "durable mode: WAL + checkpoints in DIR; recovers and resumes when "
-     "DIR already holds a checkpoint"},
+     "DIR already holds a checkpoint",
+     "wal_dir"},
     {"tenant", "stream", "NAME",
      "tenant namespace: log and checkpoint under DIR/NAME (the "
      "TenantRegistry on-disk layout; see docs/operations.md)"},
     {"checkpoint-interval", "stream", "N",
-     "checkpoint every N sealed epochs (default 8)"},
+     "checkpoint every N sealed epochs (default 8)", "checkpoint_interval"},
     {"full-snapshot-interval", "stream", "N",
      "every Nth checkpoint is a full snapshot, the rest O(changed) "
-     "deltas (1 = all full)"},
+     "deltas (1 = all full)",
+     "full_snapshot_interval"},
     {"fsync", "stream", "none|batch|always",
-     "stable-storage window for WAL appends (default batch)"},
+     "stable-storage window for WAL appends (default batch)", "fsync"},
     {"retain-epochs", "stream", "K",
-     "bound the sealed-snapshot history to K epochs (0 = keep all)"},
+     "bound the sealed-snapshot history to K epochs (0 = keep all)",
+     "retain_epochs"},
     {"regions-out", "stream", "FILE",
      "write final region aggregates with full precision for exact diffing"},
     {"crash-after-batches", "stream", "N",
@@ -131,7 +153,15 @@ inline std::string CliHelpText() {
     text += "  --" + std::string(spec.name);
     if (spec.value[0] != '\0') text += " " + std::string(spec.value);
     text += "\n      [" + std::string(spec.commands) + "] " +
-            std::string(spec.help) + "\n";
+            std::string(spec.help);
+    if (spec.scenario_key[0] != '\0') {
+      text += " (stream: scenario key " + std::string(spec.scenario_key);
+      if (spec.scenario_value[0] != '\0') {
+        text += " = " + std::string(spec.scenario_value);
+      }
+      text += ")";
+    }
+    text += "\n";
   }
   text +=
       "\nsee the fairidx_cli.cc file header and README.md for the full "

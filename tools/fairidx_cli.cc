@@ -32,46 +32,27 @@
 // instead of the batch pipeline.
 //
 // `stream` is the online re-districting demo on the concurrent serving
-// layer (service/fair_index_service.h): it builds a partition from a
-// warmup prefix of the records, then streams the rest through a
-// FairIndexService batch by batch — per-shard ingest appends, epoch
-// seals folding the pending batches into an immutable snapshot on the
-// shared pool, and the partition's region ENCE off each sealed epoch.
-// With --refine-bound B the partition is maintained incrementally:
-// whenever some region's calibration gap drifts past B on a sealed
-// epoch, only the drifted subtrees are re-split
-// (index/kd_tree_maintainer.h) instead of rebuilding the whole tree.
-// --seal-records N defers seals until N records are pending (0 = seal
-// every batch). A seal costs one O(UV) prefix integration — the default
-// per-batch cadence keeps every table row fresh on the demo-sized grids
-// here, but on production-scale grids raise --seal-records so the fold
-// amortizes over many batches (rows between seals then repeat the last
-// sealed epoch's ENCE).
+// layer (service/fair_index_service.h), run as a one-point `workload =
+// stream` scenario: each flag sets the scenario key cli_spec.h records
+// beside it, through the scenario parser and validator, so a flag set
+// and a scenario file with the same keys are the same experiment (only
+// the defaults differ: --batch 200, and no refine without
+// --refine-bound). docs/scenario_reference.md gives each key's meaning.
+// It builds a partition from a warmup prefix of the records, streams
+// the rest through a FairIndexService batch by batch and prints the
+// region ENCE of each sealed epoch. A seal costs one O(UV) prefix
+// integration, so on large grids raise --seal-records. By default the
+// ingest loop ticks the MaintenancePolicy after every batch and the
+// table is deterministic; with --auto-maintain the background loop runs
+// it and the epoch and re-split columns follow its timing.
 //
-// Either way one MaintenancePolicy decides maintenance (seal cadence
-// from --seal-records, refine per --refine-bound when given, retention
-// per --retain-epochs). By default the ingest loop ticks it after every
-// batch; with --auto-maintain the service's background maintenance loop
-// runs it instead (and --seal-interval S adds a wall-clock cadence) —
-// the hands-off serving mode. Epoch and re-split columns then reflect
-// background timing rather than a deterministic per-batch schedule.
-//
-// With --wal DIR the stream is durable: every batch is write-ahead
-// logged and sealed state checkpointed into DIR (see service/wal.h and
-// service/checkpoint.h). When DIR already holds a checkpoint the command
-// RECOVERS instead of starting over — it replays the WAL tail and
-// resumes streaming at the first record the killed run never accepted,
-// which is what the crash-recovery CI lane exercises
-// (--crash-after-batches N raises SIGKILL mid-stream deterministically;
-// rerun, then diff the final region aggregates against an uninterrupted
-// reference). --fsync picks the stable-storage window
-// (none|batch|always), --checkpoint-interval N checkpoints every N
-// sealed epochs, --full-snapshot-interval N makes only every Nth
-// checkpoint a full snapshot (the rest are O(changed) delta
-// checkpoints holding just the cells sealed since the previous one),
-// --retain-epochs K bounds the sealed-snapshot history, and
-// --regions-out FILE writes the final per-region aggregates with full
-// double precision for exact diffing.
+// The CLI-only parts: with --wal DIR the command RECOVERS when DIR
+// already holds a checkpoint, resuming at the first record the earlier
+// run never accepted; --tenant NAME logs under DIR/NAME (the
+// TenantRegistry layout); --crash-after-batches N raises SIGKILL after
+// batch N, before its seal (the crash-recovery CI lane); --regions-out
+// FILE writes the final region aggregates with full double precision
+// for exact diffing.
 //
 // `--csv` loads an EdGap-style extract (see data/csv_dataset.h for the
 // schema); otherwise the named synthetic city is generated.
@@ -83,11 +64,11 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cpu_features.h"
+#include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/experiment_config.h"
 #include "core/pipeline.h"
@@ -99,6 +80,7 @@
 #include "index/partition_io.h"
 #include "service/checkpoint.h"
 #include "service/fair_index_service.h"
+#include "service/tenant_registry.h"
 #include "cli_spec.h"
 
 namespace fairidx {
@@ -142,13 +124,21 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
-  int GetInt(const std::string& name, int fallback) const {
+  // Strict: a value that is not a whole int is an error, never the
+  // silent 0 atoi would make of `--height x`.
+  Status GetInt(const std::string& name, int fallback, int* out) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) {
+      *out = fallback;
+      return Status::Ok();
+    }
+    Result<int> parsed = ParseInt(it->second);
+    if (!parsed.ok()) {
+      return InvalidArgumentError("--" + name + ": " +
+                                  parsed.status().message());
+    }
+    *out = *parsed;
+    return Status::Ok();
   }
 
  private:
@@ -170,6 +160,13 @@ Result<Dataset> LoadFlaggedDataset(const Flags& flags) {
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// A malformed flag value is a usage error (exit 2), like an unknown flag.
+int BadFlag(const Status& status) {
+  std::fprintf(stderr, "error: %s (try --help)\n",
+               status.message().c_str());
+  return 2;
 }
 
 // ----- Subcommands ----------------------------------------------------
@@ -300,6 +297,13 @@ int CmdRunScenario(const std::string& path) {
 }
 
 int CmdRun(const Flags& flags) {
+  PipelineOptions options;
+  for (const Status& status :
+       {flags.GetInt("height", 6, &options.height),
+        flags.GetInt("task", 0, &options.task),
+        flags.GetInt("threads", 1, &options.num_threads)}) {
+    if (!status.ok()) return BadFlag(status);
+  }
   auto dataset = LoadFlaggedDataset(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   auto algorithm =
@@ -307,12 +311,7 @@ int CmdRun(const Flags& flags) {
   if (!algorithm.ok()) return Fail(algorithm.status());
   auto classifier_kind = ParseClassifierKind(flags.Get("classifier", "lr"));
   if (!classifier_kind.ok()) return Fail(classifier_kind.status());
-
-  PipelineOptions options;
   options.algorithm = *algorithm;
-  options.height = flags.GetInt("height", 6);
-  options.task = flags.GetInt("task", 0);
-  options.num_threads = flags.GetInt("threads", 1);
   const auto prototype = MakeClassifier(*classifier_kind);
   auto run = RunPipeline(*dataset, *prototype, options);
   if (!run.ok()) return Fail(run.status());
@@ -338,6 +337,12 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdSweep(const Flags& flags) {
+  int task = 0;
+  int threads = 1;
+  for (const Status& status : {flags.GetInt("task", 0, &task),
+                               flags.GetInt("threads", 1, &threads)}) {
+    if (!status.ok()) return BadFlag(status);
+  }
   auto dataset = LoadFlaggedDataset(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   auto classifier_kind = ParseClassifierKind(flags.Get("classifier", "lr"));
@@ -363,8 +368,8 @@ int CmdSweep(const Flags& flags) {
       PipelineOptions options;
       options.algorithm = algorithm;
       options.height = height;
-      options.task = flags.GetInt("task", 0);
-      options.num_threads = flags.GetInt("threads", 1);
+      options.task = task;
+      options.num_threads = threads;
       auto run = RunPipeline(*dataset, *prototype, options);
       if (!run.ok()) return Fail(run.status());
       const EvaluationResult& eval = run->final_model.eval;
@@ -381,6 +386,10 @@ int CmdSweep(const Flags& flags) {
 }
 
 int CmdDisparity(const Flags& flags) {
+  int top = 10;
+  if (Status status = flags.GetInt("top", 10, &top); !status.ok()) {
+    return BadFlag(status);
+  }
   auto dataset = LoadFlaggedDataset(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   if (!dataset->has_zip_codes()) {
@@ -401,7 +410,7 @@ int CmdDisparity(const Flags& flags) {
   if (!trained.ok()) return Fail(trained.status());
   auto report = BuildDisparityReport(trained->scores, working.labels(0),
                                      working.zip_codes(),
-                                     flags.GetInt("top", 10), 15);
+                                     top, 15);
   if (!report.ok()) return Fail(report.status());
   std::printf("overall: e=%.4f o=%.4f |e-o|=%.5f\n",
               report->overall.mean_score, report->overall.mean_label,
@@ -411,15 +420,18 @@ int CmdDisparity(const Flags& flags) {
 }
 
 int CmdExport(const Flags& flags) {
+  PipelineOptions options;
+  for (const Status& status :
+       {flags.GetInt("height", 6, &options.height),
+        flags.GetInt("threads", 1, &options.num_threads)}) {
+    if (!status.ok()) return BadFlag(status);
+  }
   auto dataset = LoadFlaggedDataset(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   auto algorithm =
       ParsePartitionAlgorithm(flags.Get("algorithm", "fair_kd_tree"));
   if (!algorithm.ok()) return Fail(algorithm.status());
-  PipelineOptions options;
   options.algorithm = *algorithm;
-  options.height = flags.GetInt("height", 6);
-  options.num_threads = flags.GetInt("threads", 1);
   const auto prototype =
       MakeClassifier(ClassifierKind::kLogisticRegression);
   auto run = RunPipeline(*dataset, *prototype, options);
@@ -450,126 +462,76 @@ int CmdExport(const Flags& flags) {
   return 0;
 }
 
+// `stream` runs one stream point and prints it batch by batch. Each flag
+// sets the scenario key cli_spec.h names for it, so the flags go through
+// the same setter, validator, record feed and service options as a
+// scenario file with `workload = stream`. What stays here is CLI-only:
+// the tenant namespace, the crash hook, recover-or-create and resume,
+// the per-batch table, the summary lines and --regions-out.
 int CmdStream(const Flags& flags) {
-  auto dataset = LoadFlaggedDataset(flags);
-  if (!dataset.ok()) return Fail(dataset.status());
-  const int height = flags.GetInt("height", 6);
-  const int batch = flags.GetInt("batch", 200);
-  const int warmup_pct = flags.GetInt("warmup-pct", 50);
-  const int shards = flags.GetInt("shards", 1);
-  const long long seal_records = flags.GetInt("seal-records", 0);
-  const bool auto_maintain = flags.Has("auto-maintain");
-  const double seal_interval = flags.GetDouble("seal-interval", 0.0);
-  std::string wal_dir = flags.Get("wal", "");
+  ScenarioConfig config;
+  config.workload = ScenarioWorkload::kStream;
+  // The CLI's own defaults: smaller batches keep the per-batch table
+  // readable, and the partition stays fixed unless --refine-bound is set.
+  config.stream_batch = 200;
+  config.stream_refine_bound = -1.0;
+  for (const CliFlagSpec& spec : kCliFlags) {
+    const std::string name = spec.name;
+    if (spec.scenario_key[0] == '\0' || !flags.Has(name)) continue;
+    const std::string value =
+        spec.value[0] == '\0' ? spec.scenario_value : flags.Get(name);
+    if (Status status = SetScenarioKey(spec.scenario_key, value, &config);
+        !status.ok()) {
+      return BadFlag(InvalidArgumentError("--" + name + ": " +
+                                          status.message()));
+    }
+  }
   const std::string tenant = flags.Get("tenant", "");
   if (!tenant.empty()) {
     // Mirror the TenantRegistry namespace layout (<wal>/<tenant>) so a
     // stream driven per tenant from the CLI and a registry hosting the
     // same tenants produce interchangeable on-disk state.
-    if (wal_dir.empty()) {
+    if (config.wal_dir.empty()) {
       return Fail(InvalidArgumentError(
           "--tenant needs --wal (it names a durability namespace)"));
     }
-    for (char c : tenant) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == '-';
-      if (!ok) {
-        return Fail(InvalidArgumentError(
-            "--tenant must match [A-Za-z0-9_-]+ (it names a directory)"));
-      }
+    if (Status status = ValidateTenantName(tenant); !status.ok()) {
+      return Fail(status);
     }
-    wal_dir += "/" + tenant;
+    config.wal_dir += "/" + tenant;
   }
-  const int retain_epochs = flags.GetInt("retain-epochs", 0);
-  const int full_snapshot_interval =
-      flags.GetInt("full-snapshot-interval", 1);
-  const int crash_after = flags.GetInt("crash-after-batches", 0);
-  if (batch < 1) return Fail(InvalidArgumentError("--batch must be >= 1"));
+  int crash_after = 0;
+  if (Status status = flags.GetInt("crash-after-batches", 0, &crash_after);
+      !status.ok()) {
+    return BadFlag(status);
+  }
   if (crash_after < 0) {
     return Fail(InvalidArgumentError("--crash-after-batches must be >= 0"));
   }
-  if (crash_after > 0 && wal_dir.empty()) {
+  if (crash_after > 0 && config.wal_dir.empty()) {
     return Fail(InvalidArgumentError(
         "--crash-after-batches needs --wal (a crash without a log is just "
         "data loss)"));
   }
-  if (retain_epochs < 0) {
-    return Fail(InvalidArgumentError("--retain-epochs must be >= 0"));
+  if (Status status = ValidateScenario(config); !status.ok()) {
+    return Fail(status);
   }
-  if (full_snapshot_interval < 1) {
-    return Fail(
-        InvalidArgumentError("--full-snapshot-interval must be >= 1"));
-  }
-  if (full_snapshot_interval > 1 && wal_dir.empty()) {
+  const std::vector<ScenarioRun> runs = ExpandScenario(config);
+  if (runs.size() != 1) {
     return Fail(InvalidArgumentError(
-        "--full-snapshot-interval needs --wal (there are no checkpoints "
-        "to thin without a durability directory)"));
+        "stream runs one point: give one --algorithm, --height and --seed"));
   }
-  if (warmup_pct < 1 || warmup_pct > 99) {
-    return Fail(InvalidArgumentError("--warmup-pct must be in [1, 99]"));
-  }
-  if (shards < 1) return Fail(InvalidArgumentError("--shards must be >= 1"));
-  if (seal_records < 0) {
-    return Fail(InvalidArgumentError("--seal-records must be >= 0"));
-  }
-  if (seal_interval < 0.0) {
-    return Fail(InvalidArgumentError("--seal-interval must be >= 0"));
-  }
-  if (seal_interval > 0.0 && !auto_maintain) {
-    return Fail(InvalidArgumentError(
-        "--seal-interval needs --auto-maintain (the caller loop seals by "
-        "--seal-records)"));
-  }
+  const ScenarioRun& run = runs[0];
 
   // One model fit scores every record; the stream then replays records in
   // arrival order against those scores.
-  Rng rng(flags.GetInt("seed", 20240601));
-  auto split = MakeStratifiedSplit(dataset->labels(0), 0.25, rng);
-  if (!split.ok()) return Fail(split.status());
-  const auto prototype =
-      MakeClassifier(ClassifierKind::kLogisticRegression);
-  auto trained = TrainOnBaseGrid(*dataset, *split, *prototype, EvalOptions{});
-  if (!trained.ok()) return Fail(trained.status());
-
-  AggregateBatch all;
-  all.cell_ids = dataset->base_cells();
-  all.labels = dataset->labels(0);
-  all.scores = trained->scores;
-  const size_t n = dataset->num_records();
-  const size_t warmup =
-      std::max<size_t>(1, n * static_cast<size_t>(warmup_pct) / 100);
-  const bool refine = flags.Has("refine-bound");
-
-  // Warmup prefix: sealed epoch 0 + the initial maintained partition.
-  const AggregateBatch warm = all.Slice(0, warmup);
-
-  FairIndexServiceOptions options;
-  options.algorithm = flags.Get("algorithm", "fair_kd_tree");
-  options.build.height = height;
-  options.build.num_threads = flags.GetInt("threads", 1);
-  options.store.num_shards = shards;
-  options.store.num_threads = flags.GetInt("threads", 1);
-  options.refine.drift_bound = flags.GetDouble("refine-bound", 0.02);
-  options.auto_maintain = auto_maintain;
-  // --seal-records 0 means "every batch": after an ingest that is a
-  // 1-record cadence — UNLESS an interval was given (--auto-maintain
-  // only), in which case 0 disables the record cadence so the wall clock
-  // alone governs (an interval-only policy stays expressible).
-  options.maintain.seal_records =
-      seal_records > 0 ? seal_records : (seal_interval > 0.0 ? 0 : 1);
-  options.maintain.seal_interval_seconds = seal_interval;
-  options.maintain.drift_bound =
-      refine ? flags.GetDouble("refine-bound", 0.02) : -1.0;
-  options.maintain.retain_epochs = retain_epochs;
-  if (!wal_dir.empty()) {
-    options.durability.wal_dir = wal_dir;
-    options.durability.checkpoint_interval =
-        flags.GetInt("checkpoint-interval", 8);
-    options.durability.full_snapshot_interval = full_snapshot_interval;
-    auto fsync = ParseWalFsync(flags.Get("fsync", "batch"));
-    if (!fsync.ok()) return Fail(fsync.status());
-    options.durability.fsync = *fsync;
-  }
+  auto dataset = LoadScenarioDataset(config);
+  if (!dataset.ok()) return Fail(dataset.status());
+  auto feed =
+      MakeStreamFeed(config, *dataset, *MakeClassifier(config.classifier), run);
+  if (!feed.ok()) return Fail(feed.status());
+  auto options = MakeServiceOptions(config, run);
+  if (!options.ok()) return Fail(options.status());
 
   // Recover-or-create: a WAL directory that already holds a checkpoint
   // means a previous run (possibly killed mid-stream) owns this state —
@@ -577,14 +539,15 @@ int CmdStream(const Flags& flags) {
   // never accepted.
   Result<std::unique_ptr<FairIndexService>> service =
       InternalError("unset");
-  size_t resume = warmup;
+  const size_t n = feed->total;
+  size_t resume = feed->warmup;
   bool recovered = false;
-  if (!wal_dir.empty()) {
-    auto checkpoints = ListCheckpoints(wal_dir);
+  if (!config.wal_dir.empty()) {
+    auto checkpoints = ListCheckpoints(config.wal_dir);
     recovered = checkpoints.ok() && !checkpoints->empty();
   }
   if (recovered) {
-    service = FairIndexService::Recover(dataset->grid(), options);
+    service = FairIndexService::Recover(dataset->grid(), *options);
     if (!service.ok()) return Fail(service.status());
     // Records stream in dataset order and every accepted record is
     // logged exactly once, so the store's record count IS the resume
@@ -593,10 +556,12 @@ int CmdStream(const Flags& flags) {
     resume = std::min(n, static_cast<size_t>(std::max(0LL, accepted)));
     std::printf("recovered from %s: %lld records, epoch %lld, %zu regions "
                 "(resuming at record %zu)\n",
-                wal_dir.c_str(), accepted, (*service)->store().epoch(),
+                config.wal_dir.c_str(), accepted, (*service)->store().epoch(),
                 (*service)->regions()->size(), resume);
   } else {
-    service = FairIndexService::Create(dataset->grid(), warm, options);
+    // Warmup prefix: sealed epoch 0 + the initial maintained partition.
+    service = FairIndexService::Create(
+        dataset->grid(), feed->all.Slice(0, feed->warmup), *options);
     if (!service.ok()) return Fail(service.status());
   }
 
@@ -604,12 +569,14 @@ int CmdStream(const Flags& flags) {
               CrcHardwareAvailable() ? "hardware" : "software");
   std::printf("streaming %zu records into a height-%d %s partition "
               "(%zu regions, %zu warmup records, batch %d, %d shard%s%s%s%s)\n",
-              n - resume, height, options.algorithm.c_str(),
-              (*service)->regions()->size(), warmup, batch, shards,
-              shards == 1 ? "" : "s",
-              refine ? ", incremental refine on" : "",
-              auto_maintain ? ", background maintenance on" : "",
-              wal_dir.empty() ? "" : ", durable");
+              n - resume, run.height, options->algorithm.c_str(),
+              (*service)->regions()->size(), feed->warmup,
+              config.stream_batch, config.stream_shards,
+              config.stream_shards == 1 ? "" : "s",
+              config.stream_refine_bound >= 0.0 ? ", incremental refine on"
+                                                : "",
+              options->auto_maintain ? ", background maintenance on" : "",
+              config.wal_dir.empty() ? "" : ", durable");
   TablePrinter table({"batch", "records", "pending", "epoch", "regions",
                       "resplits", "region_ence"});
   const ShardedDeltaStore& store = (*service)->store();
@@ -622,11 +589,13 @@ int CmdStream(const Flags& flags) {
 
   // Caller-driven maintenance ticks, on this thread, the same policy the
   // background loop runs under --auto-maintain.
-  MaintenanceScheduler caller_maintenance(service->get(), options.maintain);
+  MaintenanceScheduler caller_maintenance(service->get(), options->maintain);
   int batch_index = 0;
   for (size_t next = resume; next < n;) {
-    const size_t end = std::min(n, next + static_cast<size_t>(batch));
-    if (auto seq = (*service)->Ingest(all.Slice(next, end)); !seq.ok()) {
+    const size_t end =
+        std::min(n, next + static_cast<size_t>(config.stream_batch));
+    if (auto seq = (*service)->Ingest(feed->all.Slice(next, end));
+        !seq.ok()) {
       return Fail(seq.status());
     }
     next = end;
@@ -644,7 +613,7 @@ int CmdStream(const Flags& flags) {
     // batch). A refine pass seals itself, then re-splits any subtree that
     // drifted past the bound on that sealed epoch. The resplits column
     // reports the cumulative count published so far.
-    if (!auto_maintain && caller_maintenance.TickNow()) {
+    if (!options->auto_maintain && caller_maintenance.TickNow()) {
       if (Status error = caller_maintenance.last_error(); !error.ok()) {
         return Fail(error);
       }
@@ -684,12 +653,12 @@ int CmdStream(const Flags& flags) {
           (*service)->publications_fallback(),
       (*service)->publications_patched(),
       (*service)->publications_fallback());
-  if (auto_maintain) {
+  if (options->auto_maintain) {
     const MaintenanceStats mstats = (*service)->maintenance_stats();
     std::printf(", %lld passes, %lld refines, %lld errors", mstats.passes,
                 mstats.refines, mstats.errors);
   }
-  if (!wal_dir.empty()) {
+  if (!config.wal_dir.empty()) {
     std::printf(", max publish stall %lld us, max checkpoint stall %lld us",
                 (*service)->max_publish_stall_us(),
                 (*service)->max_checkpoint_stall_us());
