@@ -1159,6 +1159,107 @@ void BM_FullCheckpointWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_FullCheckpointWrite)->Unit(benchmark::kMillisecond);
 
+// --- Checkpoints off the maintenance path: a durable refine cadence vs
+// the same cadence without durability. ---
+// The durable streaming loop at 512^2: one iteration is 8 rounds of
+// (ingest 50 batches of 1000 records, MaybeRefine), so with
+// checkpoint_interval = 8 and full snapshots every iteration crosses one
+// full checkpoint (~10 MB of cell sums). The durable side logs with
+// fsync = batch, as perfbench's durable_stream does; the control runs
+// the identical loop without a WAL. A checkpointing MaybeRefine only
+// captures the sealed state and hands it to the service's background
+// write, which overlaps the next 8 rounds (their seals and WAL fsyncs);
+// CI bounds the durable loop over the control with a require-faster
+// ceiling, which a write back on the caller's thread blows. Both keep 4
+// sealed epochs and fold seals on one thread, so the pair does not
+// depend on the runner's core count.
+struct CadenceFixture {
+  Grid grid;
+  AggregateBatch warmup;
+  /// 8 rounds of 50 batches of 1000 records.
+  std::vector<std::vector<AggregateBatch>> rounds;
+};
+
+const CadenceFixture& BenchCadence() {
+  static const CadenceFixture* fixture = [] {
+    const int side = 512;
+    const Grid grid =
+        OrDie(Grid::Create(side, side, BoundingBox{0, 0, side, side}),
+              "Grid::Create");
+    Rng rng(29);
+    auto* f = new CadenceFixture{grid, {}, {}};
+    const auto fill = [&](AggregateBatch* batch, size_t n) {
+      for (size_t i = 0; i < n; ++i) {
+        batch->Append(static_cast<int>(rng.NextBounded(grid.num_cells())),
+                      rng.Bernoulli(0.5) ? 1 : 0, rng.NextDouble());
+      }
+    };
+    fill(&f->warmup, 500000);
+    f->rounds.resize(8);
+    for (std::vector<AggregateBatch>& round : f->rounds) {
+      round.resize(50);
+      for (AggregateBatch& batch : round) fill(&batch, 1000);
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+void RunRefineCadence(benchmark::State& state, bool durable) {
+  const CadenceFixture& f = BenchCadence();
+  FairIndexServiceOptions options;
+  options.algorithm = "fair_kd_tree";
+  options.build.height = 10;
+  options.store.num_shards = 2;
+  options.store.num_threads = 1;
+  const std::string dir = std::filesystem::temp_directory_path().string() +
+                          "/fairidx_bench_cadence";
+  if (durable) {
+    std::filesystem::remove_all(dir);
+    options.durability.wal_dir = dir;
+    options.durability.fsync = WalFsync::kBatch;
+    options.durability.checkpoint_interval = 8;
+  }
+  std::unique_ptr<FairIndexService> service =
+      OrDie(FairIndexService::Create(f.grid, f.warmup, options),
+            "FairIndexService::Create");
+  int64_t records = 0;
+  const auto run_cadence = [&] {
+    for (const std::vector<AggregateBatch>& round : f.rounds) {
+      for (const AggregateBatch& batch : round) {
+        if (!service->Ingest(batch).ok()) std::abort();
+        records += static_cast<int64_t>(batch.size());
+      }
+      if (!service->MaybeRefine().ok()) std::abort();
+      service->ApplyRetention(4);
+    }
+  };
+  // One untimed iteration first: it leaves a checkpoint write in flight,
+  // so every timed iteration starts as a steady-state one does.
+  run_cadence();
+  records = 0;
+  for (auto _ : state) run_cadence();
+  service.reset();  // Waits for the last background write.
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(records);
+}
+
+void BM_ServiceDurableRefineCadence(benchmark::State& state) {
+  RunRefineCadence(state, /*durable=*/true);
+}
+// A fixed count: at CI's 0.01 s minimum one iteration would never wait
+// for a write.
+BENCHMARK(BM_ServiceDurableRefineCadence)
+    ->Iterations(4)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ServiceRefineCadence(benchmark::State& state) {
+  RunRefineCadence(state, /*durable=*/false);
+}
+BENCHMARK(BM_ServiceRefineCadence)
+    ->Iterations(4)
+    ->Unit(benchmark::kMillisecond);
+
 // --- Pool-aware multi-objective: per-task fits on the shared pool. ---
 void BM_MultiObjectiveResidualsThreads(benchmark::State& state) {
   const Dataset city = CityOfSize(2000);

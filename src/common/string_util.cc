@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <climits>
 #include <cstdarg>
 #include <cstdio>
@@ -68,19 +69,28 @@ Result<double> ParseDouble(std::string_view input) {
 }
 
 Result<int> ParseInt(std::string_view input) {
+  FAIRIDX_ASSIGN_OR_RETURN(const long long value, ParseInt64(input));
+  if (value < INT_MIN || value > INT_MAX) {
+    return OutOfRangeError("int out of range: '" + Trim(input) + "'");
+  }
+  return static_cast<int>(value);
+}
+
+Result<long long> ParseInt64(std::string_view input) {
   const std::string trimmed = Trim(input);
   if (trimmed.empty()) {
     return InvalidArgumentError("empty string is not an int");
   }
   char* end = nullptr;
-  const long value = std::strtol(trimmed.c_str(), &end, 10);
+  errno = 0;
+  const long long value = std::strtoll(trimmed.c_str(), &end, 10);
   if (end != trimmed.c_str() + trimmed.size()) {
     return InvalidArgumentError("malformed int: '" + trimmed + "'");
   }
-  if (value < INT_MIN || value > INT_MAX) {
-    return OutOfRangeError("int out of range: '" + trimmed + "'");
+  if (errno == ERANGE) {
+    return OutOfRangeError("int64 out of range: '" + trimmed + "'");
   }
-  return static_cast<int>(value);
+  return value;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -27,9 +27,11 @@ std::string Join(const std::vector<std::string>& parts,
 /// Lower-cases ASCII letters.
 std::string ToLower(std::string_view input);
 
-/// Parses a double / int; returns InvalidArgument on malformed input.
+/// Parses a double / int / 64-bit int; returns InvalidArgument on
+/// malformed input and OutOfRange when the value does not fit the type.
 Result<double> ParseDouble(std::string_view input);
 Result<int> ParseInt(std::string_view input);
+Result<long long> ParseInt64(std::string_view input);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -17,6 +18,7 @@
 #include "data/csv_dataset.h"
 #include "data/edgap_synthetic.h"
 #include "fairness/region_metrics.h"
+#include "service/checkpoint.h"
 #include "service/fair_index_service.h"
 #include "service/tenant_registry.h"
 
@@ -119,11 +121,17 @@ Result<std::vector<PartitionAlgorithm>> ParseAlgorithms(
 }
 
 // Setters for one ScenarioConfig field each, so the key table below
-// can name a key and its field on one line.
+// can name a key and its field on one line. SetInt parses with the
+// field's own width: the long long keys take values past INT_MAX, and
+// an int key still rejects them.
 template <auto kField>
 Status SetInt(const std::string& value, ScenarioConfig* config) {
-  FAIRIDX_ASSIGN_OR_RETURN(int parsed, ParseInt(value));
-  config->*kField = parsed;
+  using Field = std::remove_reference_t<decltype(config->*kField)>;
+  if constexpr (std::is_same_v<Field, long long>) {
+    FAIRIDX_ASSIGN_OR_RETURN(config->*kField, ParseInt64(value));
+  } else {
+    FAIRIDX_ASSIGN_OR_RETURN(config->*kField, ParseInt(value));
+  }
   return Status::Ok();
 }
 
@@ -802,6 +810,32 @@ Result<FairIndexServiceOptions> MakeServiceOptions(
   return options;
 }
 
+Result<OpenedService> RecoverOrCreateService(
+    const Grid& grid, const StreamFeed& feed,
+    const FairIndexServiceOptions& options) {
+  OpenedService opened;
+  const std::string& wal_dir = options.durability.wal_dir;
+  if (!wal_dir.empty()) {
+    auto checkpoints = ListCheckpoints(wal_dir);
+    opened.recovered = checkpoints.ok() && !checkpoints->empty();
+  }
+  if (!opened.recovered) {
+    FAIRIDX_ASSIGN_OR_RETURN(
+        opened.service,
+        FairIndexService::Create(grid, feed.all.Slice(0, feed.warmup),
+                                 options));
+    opened.resume = feed.warmup;
+    return opened;
+  }
+  FAIRIDX_ASSIGN_OR_RETURN(opened.service,
+                           FairIndexService::Recover(grid, options));
+  const long long accepted = opened.service->store().num_records();
+  opened.resume = std::min(
+      feed.total,
+      std::max(feed.warmup, static_cast<size_t>(std::max(0LL, accepted))));
+  return opened;
+}
+
 namespace {
 
 // One durability root per sweep point, so concurrent points never
@@ -820,7 +854,9 @@ std::string PointWalDir(const ScenarioConfig& config,
 // refines) — the scenario-file form of `fairidx_cli stream`. With
 // maintain_policy = auto the service's background loop owns the
 // seal/refine cadence and the loop below only ingests; with caller it
-// ticks a scheduler on the same policy itself after each batch.
+// ticks a scheduler on the same policy itself after each batch. A
+// durable point recovers-or-creates (RecoverOrCreateService), so a rerun
+// over the same wal_dir resumes the earlier run instead of failing.
 Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
                                             const Dataset& dataset,
                                             const Classifier& prototype,
@@ -833,14 +869,13 @@ Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
 
   const auto start = std::chrono::steady_clock::now();
   FAIRIDX_ASSIGN_OR_RETURN(
-      std::unique_ptr<FairIndexService> service,
-      FairIndexService::Create(dataset.grid(),
-                               feed.all.Slice(0, feed.warmup),
-                               service_options));
+      OpenedService opened,
+      RecoverOrCreateService(dataset.grid(), feed, service_options));
+  const std::unique_ptr<FairIndexService>& service = opened.service;
   MaintenanceScheduler caller_maintenance(service.get(),
                                           service_options.maintain);
 
-  for (size_t next = feed.warmup; next < feed.total;) {
+  for (size_t next = opened.resume; next < feed.total;) {
     const size_t end = std::min(
         feed.total, next + static_cast<size_t>(config.stream_batch));
     FAIRIDX_RETURN_IF_ERROR(
@@ -991,9 +1026,10 @@ void RunServeWorker(
                    .count();
 }
 
-// One serve sweep point: the stream preamble builds the service
-// (maintain_policy = auto, so the background loop owns seals and
-// refines), then serve_readers threads run RunServeWorker against it.
+// One serve sweep point: the stream preamble builds (or, over a durable
+// root that holds state, recovers) the service (maintain_policy = auto,
+// so the background loop owns seals and refines), then serve_readers
+// threads run RunServeWorker against it.
 Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
                                           const Dataset& dataset,
                                           const Classifier& prototype,
@@ -1004,10 +1040,9 @@ Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
                            MakeServiceOptions(config, run));
   service_options.durability.wal_dir = PointWalDir(config, run);
   FAIRIDX_ASSIGN_OR_RETURN(
-      std::unique_ptr<FairIndexService> service,
-      FairIndexService::Create(dataset.grid(),
-                               feed.all.Slice(0, feed.warmup),
-                               service_options));
+      OpenedService opened,
+      RecoverOrCreateService(dataset.grid(), feed, service_options));
+  const std::unique_ptr<FairIndexService>& service = opened.service;
 
   // Everything random or allocation-heavy happens BEFORE the clock.
   const int workers = config.serve_readers;
@@ -1025,7 +1060,7 @@ Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
     // Round-robin the ingest tail across workers: every record is owned
     // by exactly one thread and drained even if its coin never says
     // "write", so the final record count is deterministic.
-    size_t next = feed.warmup;
+    size_t next = opened.resume;
     int w = 0;
     while (next < feed.total) {
       const size_t end = std::min(

@@ -54,6 +54,7 @@
 #define FAIRIDX_CORE_SCENARIO_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -272,6 +273,24 @@ Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
 Result<FairIndexServiceOptions> MakeServiceOptions(
     const ScenarioConfig& config, const ScenarioRun& run);
 
+/// A serving point's service and the feed position its ingest resumes
+/// at. Recover-or-create: when options.durability.wal_dir already holds
+/// a checkpoint, an earlier (possibly killed) run owns that state, so
+/// the service is recovered and `resume` is the first feed record that
+/// run never accepted — records stream in feed order and each accepted
+/// record was logged once, so the store's record count IS that
+/// position. Otherwise the service is created from the feed's warmup
+/// prefix and `resume` is feed.warmup.
+struct OpenedService {
+  std::unique_ptr<FairIndexService> service;
+  size_t resume = 0;
+  bool recovered = false;
+};
+
+Result<OpenedService> RecoverOrCreateService(
+    const Grid& grid, const StreamFeed& feed,
+    const FairIndexServiceOptions& options);
+
 /// One sweep point's results.
 struct ScenarioRow {
   ScenarioRun run;
@@ -334,7 +353,8 @@ struct ScenarioServeRow {
   /// Worst single publication swap over the run (max wall-clock micros
   /// inside PublishMaintainedLocked — the reader-visible publish stall).
   long long publish_stall_us = 0;
-  /// Worst single checkpoint write over the run (0 without a WAL).
+  /// Worst caller-visible checkpoint stall over the run: capture plus
+  /// any wait for the previous background write (0 without a WAL).
   long long checkpoint_stall_us = 0;
   /// Region ENCE of the final partition on the final sealed epoch.
   double final_ence = 0.0;

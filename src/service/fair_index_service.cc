@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <filesystem>
+#include <future>
 #include <utility>
 
 #include "service/checkpoint.h"
@@ -45,6 +47,38 @@ struct LookupPin {
 /// every switch, which costs a lock but never a wrong answer.
 thread_local LookupPin thread_lookup_pin;
 
+/// One captured checkpoint on its way to disk: a delta when `is_delta`,
+/// otherwise the full snapshot.
+struct CapturedCheckpoint {
+  bool is_delta = false;
+  CheckpointData full;
+  CheckpointDelta delta;
+
+  long long epoch() const { return is_delta ? delta.epoch : full.epoch; }
+};
+
+/// Installs `checkpoint` under `durability.wal_dir`, then prunes older
+/// checkpoints and the WAL segments it covers, in that order: nothing is
+/// pruned unless the new file is durable. `durable_epoch` advances as
+/// soon as the file is in place.
+Status InstallCheckpoint(const DurabilityOptions& durability,
+                         const CapturedCheckpoint& checkpoint,
+                         std::atomic<long long>* durable_epoch) {
+  FAIRIDX_RETURN_IF_ERROR(
+      checkpoint.is_delta
+          ? WriteDeltaCheckpoint(durability.wal_dir, checkpoint.delta,
+                                 durability.file_factory)
+          : WriteCheckpoint(durability.wal_dir, checkpoint.full,
+                            durability.file_factory));
+  durable_epoch->store(checkpoint.epoch(), std::memory_order_release);
+  FAIRIDX_RETURN_IF_ERROR(
+      PruneCheckpoints(durability.wal_dir, durability.keep_checkpoints));
+  // Every record in a segment whose name epoch <= the checkpointed epoch
+  // is folded into the checkpointed cell sums (a delta's chain included),
+  // so those segments are dead weight.
+  return PruneWalSegments(durability.wal_dir, checkpoint.epoch());
+}
+
 }  // namespace
 
 FairIndexService::FairIndexService(
@@ -60,6 +94,9 @@ FairIndexService::FairIndexService(
 
 FairIndexService::~FairIndexService() {
   StopMaintenance();
+  // A clean close leaves every captured checkpoint on disk. Nothing is
+  // left to report a failed write to.
+  (void)WaitForCheckpoint();
   // Other threads' pins release this service's last snapshot on their
   // next Lookup* call; the destroying thread's is released here.
   if (thread_lookup_pin.service == this) thread_lookup_pin = LookupPin{};
@@ -129,8 +166,8 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Create(
     // The epoch-0 checkpoint carries the warmup state, so recovery never
     // needs the warmup records themselves. Always a full snapshot: it is
     // the base every later delta chains back to.
-    FAIRIDX_RETURN_IF_ERROR(
-        service->WriteCheckpointNow(/*allow_delta=*/false));
+    FAIRIDX_RETURN_IF_ERROR(service->WriteCheckpointNow(
+        /*allow_delta=*/false, /*background=*/false));
   }
   if (options.auto_maintain) {
     FAIRIDX_RETURN_IF_ERROR(service->StartMaintenance(options.maintain));
@@ -205,6 +242,8 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Recover(
                            std::move(partitioner)));
   service->total_resplits_ = checkpoint.total_resplits;
   service->last_checkpoint_epoch_ = checkpoint.epoch;
+  service->durable_checkpoint_epoch_.store(checkpoint.epoch,
+                                           std::memory_order_relaxed);
   {
     // Publish the checkpointed partition (now the restored maintained
     // partition) paired with the restored sealed snapshot — the same
@@ -219,9 +258,10 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Recover(
   // A fresh durable cut: everything replayed now lives in this checkpoint
   // plus the new generation's segments, so the old generation's files can
   // finally go. Always full — a delta here would chain into the old
-  // generation this block is about to prune.
-  FAIRIDX_RETURN_IF_ERROR(
-      service->WriteCheckpointNow(/*allow_delta=*/false));
+  // generation this block is about to prune — and inline, after any
+  // write the replay started, so the file is durable before the pruning.
+  FAIRIDX_RETURN_IF_ERROR(service->WriteCheckpointNow(
+      /*allow_delta=*/false, /*background=*/false));
   {
     FAIRIDX_ASSIGN_OR_RETURN(std::vector<WalSegmentInfo> leftover,
                              ListWalSegments(durability.wal_dir));
@@ -512,16 +552,25 @@ Status FairIndexService::Checkpoint() {
     return FailedPreconditionError(
         "FairIndexService: durability is disabled (no wal_dir)");
   }
-  return WriteCheckpointNow(/*allow_delta=*/true);
+  return WriteCheckpointNow(/*allow_delta=*/true, /*background=*/false);
+}
+
+Status FairIndexService::WaitForCheckpoint() {
+  std::lock_guard<std::mutex> lock(durability_mutex_);
+  return WaitForCheckpointLocked();
+}
+
+Status FairIndexService::WaitForCheckpointLocked() {
+  if (!checkpoint_write_.valid()) return Status::Ok();
+  const Status status = checkpoint_write_.get();
+  // The failed file may be missing or torn: no later delta may chain to
+  // it, so the next checkpoint starts a fresh chain.
+  if (!status.ok()) has_full_base_ = false;
+  return status;
 }
 
 int FairIndexService::ApplyRetention(int keep_last) {
   return store_->RetainEpochs(keep_last);
-}
-
-long long FairIndexService::last_checkpoint_epoch() const {
-  std::lock_guard<std::mutex> lock(durability_mutex_);
-  return last_checkpoint_epoch_;
 }
 
 Status FairIndexService::MaybeCheckpoint() {
@@ -537,12 +586,16 @@ Status FairIndexService::MaybeCheckpoint() {
   }
   // Two threads may both decide to checkpoint here; WriteCheckpointNow
   // serializes them and the loser just captures slightly newer state.
-  return WriteCheckpointNow(/*allow_delta=*/true);
+  return WriteCheckpointNow(/*allow_delta=*/true, /*background=*/true);
 }
 
-Status FairIndexService::WriteCheckpointNow(bool allow_delta) {
-  const auto checkpoint_start = std::chrono::steady_clock::now();
+Status FairIndexService::WriteCheckpointNow(bool allow_delta,
+                                            bool background) {
+  const auto stall_start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> durability_lock(durability_mutex_);
+  // One write in flight: the chain bookkeeping below names the previous
+  // capture, which must be durable (or known failed) first.
+  FAIRIDX_RETURN_IF_ERROR(WaitForCheckpointLocked());
   const long long generation = wal_->generation();
   // The full_snapshot_interval cadence: every Nth checkpoint (and every
   // forced one) is a full snapshot; the rest carry only the cells dirtied
@@ -550,16 +603,16 @@ Status FairIndexService::WriteCheckpointNow(bool allow_delta) {
   // epoch strictly past the last checkpoint's — a same-epoch delta would
   // name itself as its own predecessor — and a full base from this run's
   // generation (deltas never chain across a recovery).
-  const bool write_delta =
+  CapturedCheckpoint checkpoint;
+  checkpoint.is_delta =
       allow_delta && options_.durability.full_snapshot_interval > 1 &&
       has_full_base_ && generation == last_checkpoint_generation_ &&
       checkpoints_since_full_ + 1 <
           options_.durability.full_snapshot_interval &&
       store_->epoch() > last_checkpoint_epoch_;
 
-  long long checkpoint_epoch = 0;
-  if (write_delta) {
-    CheckpointDelta delta;
+  if (checkpoint.is_delta) {
+    CheckpointDelta& delta = checkpoint.delta;
     delta.rows = store_->rows();
     delta.cols = store_->cols();
     delta.algorithm = options_.algorithm;
@@ -582,13 +635,9 @@ Status FairIndexService::WriteCheckpointNow(bool allow_delta) {
                                partitioner_->SaveMaintained());
       delta.regions = partitioner_->maintained()->regions;
     }
-    FAIRIDX_RETURN_IF_ERROR(
-        WriteDeltaCheckpoint(options_.durability.wal_dir, delta,
-                             options_.durability.file_factory));
-    checkpoint_epoch = delta.epoch;
     ++checkpoints_since_full_;
   } else {
-    CheckpointData data;
+    CheckpointData& data = checkpoint.full;
     data.rows = store_->rows();
     data.cols = store_->cols();
     data.algorithm = options_.algorithm;
@@ -610,24 +659,38 @@ Status FairIndexService::WriteCheckpointNow(bool allow_delta) {
       data.partition = maintained->partition;
       data.regions = maintained->regions;
     }
-    FAIRIDX_RETURN_IF_ERROR(
-        WriteCheckpoint(options_.durability.wal_dir, data,
-                        options_.durability.file_factory));
-    checkpoint_epoch = data.epoch;
     checkpoints_since_full_ = 0;
     has_full_base_ = true;
   }
-  FAIRIDX_RETURN_IF_ERROR(PruneCheckpoints(
-      options_.durability.wal_dir, options_.durability.keep_checkpoints));
-  // Every record in a segment whose name epoch <= the checkpointed epoch
-  // is folded into the checkpointed cell sums (a delta's chain included),
-  // so those segments are dead weight.
-  FAIRIDX_RETURN_IF_ERROR(
-      PruneWalSegments(options_.durability.wal_dir, checkpoint_epoch));
-  last_checkpoint_epoch_ = checkpoint_epoch;
+  last_checkpoint_epoch_ = checkpoint.epoch();
   last_checkpoint_generation_ = generation;
-  FetchMax(&max_checkpoint_stall_us_, MicrosSince(checkpoint_start));
-  return Status::Ok();
+
+  if (background) {
+    // The task owns its capture and touches no service mutex; every path
+    // that needs the file (the next capture, Checkpoint(), the
+    // destructor) waits for it under durability_mutex_.
+    checkpoint_write_ = std::async(
+        std::launch::async,
+        [this, checkpoint = std::move(checkpoint)]() -> Status {
+          // An escaping exception would rethrow from whichever call waits
+          // next, the destructor included: hand it over as a status.
+          try {
+            return InstallCheckpoint(options_.durability, checkpoint,
+                                     &durable_checkpoint_epoch_);
+          } catch (const std::exception& e) {
+            return InternalError(
+                std::string("FairIndexService: checkpoint write threw: ") +
+                e.what());
+          }
+        });
+    FetchMax(&max_checkpoint_stall_us_, MicrosSince(stall_start));
+    return Status::Ok();
+  }
+  const Status status = InstallCheckpoint(options_.durability, checkpoint,
+                                          &durable_checkpoint_epoch_);
+  if (!status.ok()) has_full_base_ = false;
+  FetchMax(&max_checkpoint_stall_us_, MicrosSince(stall_start));
+  return status;
 }
 
 }  // namespace fairidx

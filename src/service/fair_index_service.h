@@ -47,6 +47,22 @@
 // surface, so hands-off operation is behaviorally identical to a caller
 // ticking the same policy.
 //
+// Durability (options.durability.wal_dir set): every accepted batch is
+// write-ahead logged, and every checkpoint_interval sealed epochs the
+// Seal/MaybeRefine that crosses the cadence captures a checkpoint of the
+// sealed state under the service locks and hands it to a background
+// write: one thread per write, at most one write in flight per service,
+// which serializes the file, fsyncs and renames it into place, then
+// prunes older checkpoints and the WAL segments the new file covers —
+// in that order, so no segment goes before the checkpoint covering it is
+// durable. The next capture first waits for the previous write, so the
+// caller pays capture plus any leftover of the last write, not the write
+// itself. A write that fails is reported by the next call that waits
+// for it and makes the next checkpoint full. Checkpoint(), Create and
+// Recover write inline, and the destructor waits for the in-flight
+// write, so a clean close leaves every captured checkpoint on disk.
+// Non-durable services never start a write thread.
+//
 // Determinism: sealed epochs are bit-identical to GridAggregates::Build
 // over the records sealed so far, in sequence order (see
 // sharded_delta_store.h), and every maintenance decision keys off a
@@ -59,6 +75,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -166,8 +183,10 @@ class FairIndexService {
   FairIndexService(const FairIndexService&) = delete;
   FairIndexService& operator=(const FairIndexService&) = delete;
 
-  /// Stops background maintenance (if running) before teardown and drops
-  /// the calling thread's cached lookup pin if it points at this service.
+  /// Stops background maintenance (if running), then waits for the
+  /// in-flight checkpoint write (if any; its status is dropped — call
+  /// WaitForCheckpoint first to see it) before teardown, and drops the
+  /// calling thread's cached lookup pin if it points at this service.
   ~FairIndexService();
 
   /// Appends one batch to the store's pending set (visible to queries
@@ -176,7 +195,10 @@ class FairIndexService {
   Result<long long> Ingest(AggregateBatch batch);
 
   /// Seals the current epoch (folds pending batches into a fresh
-  /// snapshot). Returns the epoch number.
+  /// snapshot). Returns the epoch number. With durability a seal that
+  /// crosses the checkpoint cadence also captures a checkpoint, and
+  /// returns a failed earlier background write's error (the seal itself
+  /// has landed).
   Result<long long> Seal();
 
   /// The currently published partition's region rects. The returned
@@ -222,6 +244,7 @@ class FairIndexService {
   /// snapshot and the new region list is published atomically at the end.
   /// No drift past the bound -> an exact no-op (stats.changed == false).
   /// Serialized with itself; Ingest and Query* continue concurrently.
+  /// Checkpoints like Seal() does.
   Result<ServiceRefineResult> MaybeRefine(const KdRefineOptions& options);
   Result<ServiceRefineResult> MaybeRefine() {
     return MaybeRefine(options_.refine);
@@ -248,9 +271,21 @@ class FairIndexService {
   /// maintenance never started.
   MaintenanceStats maintenance_stats() const;
 
-  /// Writes a checkpoint of the current sealed state now (durability must
-  /// be enabled), pruning old checkpoints and fully-covered WAL segments.
+  /// Writes a checkpoint of the current sealed state now, on the calling
+  /// thread (durability must be enabled): waits for any in-flight
+  /// background write, then captures, writes and prunes old checkpoints
+  /// and fully-covered WAL segments, so the file exists on return. When
+  /// the in-flight write failed, returns its error instead and writes
+  /// nothing; the next checkpoint is then full.
   Status Checkpoint();
+
+  /// Blocks until no background checkpoint write is in flight and returns
+  /// that write's status: Ok when it succeeded, when none was in flight
+  /// (or durability is disabled), or when its status was already
+  /// returned by an earlier waiting call. A failed write's error is
+  /// returned once, by whichever call waits first: this, Checkpoint(), or
+  /// the next checkpointing Seal/MaybeRefine.
+  Status WaitForCheckpoint();
 
   /// Applies epoch retention to the store (keep the newest `keep_last`
   /// sealed snapshots plus reader-pinned ones); returns entries dropped.
@@ -260,7 +295,12 @@ class FairIndexService {
 
   /// Durability observability (null / 0 when durability is disabled).
   const WalWriter* wal() const { return wal_.get(); }
-  long long last_checkpoint_epoch() const;
+  /// Epoch of the newest DURABLE checkpoint: installed on disk by this
+  /// service (or loaded by Recover). A checkpoint captured but still
+  /// being written is not counted until its file is in place.
+  long long last_checkpoint_epoch() const {
+    return durable_checkpoint_epoch_.load(std::memory_order_acquire);
+  }
 
   /// Worst single publication swap so far: max wall-clock micros spent
   /// inside PublishMaintainedLocked (snapshot build + pointer swap) over
@@ -268,8 +308,11 @@ class FairIndexService {
   long long max_publish_stall_us() const {
     return max_publish_stall_us_.load(std::memory_order_relaxed);
   }
-  /// Worst single checkpoint so far: max wall-clock micros spent writing
-  /// one (full or delta) checkpoint, including pruning.
+  /// Worst caller-visible checkpoint stall so far: max wall-clock micros
+  /// one checkpointing call spent on durability — waiting for the
+  /// previous background write plus capturing the sealed state, and for
+  /// the inline checkpoints (Checkpoint(), Create, Recover) the write
+  /// and pruning too. A background write's own time is not counted.
   long long max_checkpoint_stall_us() const {
     return max_checkpoint_stall_us_.load(std::memory_order_relaxed);
   }
@@ -305,15 +348,22 @@ class FairIndexService {
   /// the calling thread's next Lookup* call or service destruction.
   const PointLookupIndex& PinnedLookup() const;
 
-  /// Checkpoint when the sealed epoch has advanced past the configured
-  /// interval since the last one (no-op otherwise / without durability).
+  /// Checkpoint in the background when the sealed epoch has advanced
+  /// past the configured interval since the last capture (no-op
+  /// otherwise / without durability).
   Status MaybeCheckpoint();
-  /// Unconditional checkpoint. Lock order: durability_mutex_ ->
+  /// Unconditional checkpoint: waits for the in-flight write, captures
+  /// the sealed state, then writes it inline (`background` false) or
+  /// hands it to a background write. Lock order: durability_mutex_ ->
   /// maintain_mutex_ -> (store seal lock), the same nesting MaybeRefine's
-  /// maintain -> seal path uses. `allow_delta` lets the
-  /// full_snapshot_interval cadence pick a delta checkpoint; false forces
-  /// a full snapshot (Create/Recover, so chains always have a base).
-  Status WriteCheckpointNow(bool allow_delta);
+  /// maintain -> seal path uses; the write itself takes no service mutex.
+  /// `allow_delta` lets the full_snapshot_interval cadence pick a delta
+  /// checkpoint; false forces a full snapshot (Create/Recover, so chains
+  /// always have a base).
+  Status WriteCheckpointNow(bool allow_delta, bool background);
+  /// Waits for the in-flight checkpoint write (if any) and returns its
+  /// status; a failure clears has_full_base_. Requires durability_mutex_.
+  Status WaitForCheckpointLocked();
 
   /// Replays every WAL segment with epoch > `through_epoch` through the
   /// public Ingest/Seal/MaybeRefine path (re-logging into the new
@@ -332,19 +382,29 @@ class FairIndexService {
   std::unique_ptr<WalWriter> wal_;
   std::unique_ptr<ShardedDeltaStore> store_;
 
-  /// Serializes checkpoint writes and guards the checkpoint-chain
-  /// bookkeeping below.
+  /// Serializes checkpoint captures and guards the checkpoint-chain
+  /// bookkeeping and the in-flight write below.
   mutable std::mutex durability_mutex_;
+  /// (epoch, generation) of the newest captured checkpoint — what the
+  /// checkpoint_interval cadence counts from, and the prev link the next
+  /// delta names (the capture that names it waits for its write first).
   long long last_checkpoint_epoch_ = 0;
-  /// (epoch, generation) of the newest checkpoint file — the prev link
-  /// the next delta names.
   long long last_checkpoint_generation_ = 0;
   /// Deltas written since the last full snapshot (drives the
   /// full_snapshot_interval cadence).
   long long checkpoints_since_full_ = 0;
   /// A full snapshot exists from THIS run's WAL generation (deltas may
-  /// only chain within a run; Create/Recover both start with a full).
+  /// only chain within a run; Create/Recover both start with a full),
+  /// and no checkpoint write failed since: a failed file may be missing
+  /// or torn, so no delta may chain to it.
   bool has_full_base_ = false;
+  /// Epoch of the newest installed checkpoint (last_checkpoint_epoch()).
+  std::atomic<long long> durable_checkpoint_epoch_{0};
+  /// The background write of the newest capture (invalid when none is in
+  /// flight or its status was collected). Its task touches only the
+  /// durability options, its captured value and
+  /// durable_checkpoint_epoch_, all declared before it.
+  std::future<Status> checkpoint_write_;
 
   /// Serializes maintenance (the partitioner's mutable tree state).
   mutable std::mutex maintain_mutex_;

@@ -509,6 +509,77 @@ TEST(ScenarioEngineTest, StreamWorkloadWithWalLeavesRecoverableState) {
   }
 }
 
+// Rerunning a durable stream point over the same wal_dir resumes the
+// earlier run (recover-or-create, as `fairidx_cli stream` and the
+// multi-tenant points do) instead of failing on its state: every record
+// was accepted the first time, so the rerun ingests nothing and serves
+// the same partition and aggregates.
+TEST(ScenarioEngineTest, DurableStreamPointRerunsOverItsWalDir) {
+  const std::string wal_root =
+      ::testing::TempDir() + "/fairidx_scenario_wal_rerun";
+  std::filesystem::remove_all(wal_root);
+  ScenarioConfig config;
+  config.workload = ScenarioWorkload::kStream;
+  config.algorithms = {PartitionAlgorithm::kFairKdTree};
+  config.heights = {4};
+  config.seeds = {11};
+  config.stream_batch = 60;
+  config.stream_refine_bound = 0.02;
+  config.wal_dir = wal_root;
+  config.checkpoint_interval = 2;
+  config.fsync = "none";
+  CityConfig city;
+  city.num_records = 400;
+  const Dataset dataset = GenerateEdgapCity(city).value();
+
+  const auto first = RunScenario(config, dataset);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const auto second = RunScenario(config, dataset);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(first->stream_rows.size(), 1u);
+  ASSERT_EQ(second->stream_rows.size(), 1u);
+  const ScenarioStreamRow& a = first->stream_rows[0];
+  const ScenarioStreamRow& b = second->stream_rows[0];
+  EXPECT_EQ(b.records, 400);
+  EXPECT_EQ(b.records, a.records);
+  EXPECT_EQ(b.regions, a.regions);
+  EXPECT_EQ(b.resplits, a.resplits);
+  EXPECT_EQ(b.final_ence, a.final_ence);
+  // Nothing is pending at the rerun's quiescing seal: no new epoch.
+  EXPECT_EQ(b.epochs, a.epochs);
+}
+
+// The long long keys take values past INT_MAX through the one key
+// setter (scenario files and CLI flags alike); int keys still refuse
+// them.
+TEST(ScenarioParseTest, LongLongKeysTakeValuesPastIntMax) {
+  for (const char* key : {"stream_seal_records", "serve_lookups",
+                          "checkpoint_interval", "full_snapshot_interval"}) {
+    SCOPED_TRACE(key);
+    ScenarioConfig config;
+    ASSERT_TRUE(SetScenarioKey(key, "3000000000", &config).ok());
+    EXPECT_EQ(SetScenarioKey(key, "9223372036854775808", &config).code(),
+              StatusCode::kOutOfRange);
+  }
+  auto config = ParseScenarioText(
+      "workload = serve\nmaintain_policy = auto\n"
+      "serve_lookups = 3000000000\nstream_seal_records = 3000000000\n"
+      "wal_dir = /tmp/x\ncheckpoint_interval = 3000000000\n"
+      "full_snapshot_interval = 3000000000\n",
+      "");
+  ASSERT_TRUE(config.ok()) << config.status();
+  EXPECT_EQ(config->serve_lookups, 3000000000LL);
+  EXPECT_EQ(config->stream_seal_records, 3000000000LL);
+  EXPECT_EQ(config->checkpoint_interval, 3000000000LL);
+  EXPECT_EQ(config->full_snapshot_interval, 3000000000LL);
+
+  ScenarioConfig ints;
+  EXPECT_EQ(SetScenarioKey("serve_readers", "3000000000", &ints).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(SetScenarioKey("stream_batch", "2147483648", &ints).code(),
+            StatusCode::kOutOfRange);
+}
+
 // A non-refinable structure under workload = stream fails the scenario
 // with a clear precondition error instead of silently running the
 // pipeline.

@@ -62,6 +62,34 @@ TEST(ParseIntTest, RejectsMalformedInputs) {
   EXPECT_FALSE(ParseInt("").ok());
 }
 
+TEST(ParseIntTest, RejectsValuesPastIntRange) {
+  EXPECT_EQ(ParseInt("2147483647").value(), 2147483647);
+  EXPECT_EQ(ParseInt("3000000000").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ParseInt("-2147483649").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ParseInt("99999999999999999999").status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(ParseInt64Test, ParsesValuesPastIntRange) {
+  EXPECT_EQ(ParseInt64("3000000000").value(), 3000000000LL);
+  EXPECT_EQ(ParseInt64(" -42 ").value(), -42);
+  EXPECT_EQ(ParseInt64("9223372036854775807").value(),
+            9223372036854775807LL);
+}
+
+TEST(ParseInt64Test, RejectsMalformedAndOutOfRangeInputs) {
+  EXPECT_EQ(ParseInt64("3e9").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ParseInt64("").ok());
+  EXPECT_FALSE(ParseInt64("x").ok());
+  EXPECT_EQ(ParseInt64("9223372036854775808").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ParseInt64("-9223372036854775809").status().code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%s-%.2f", 3, "x", 1.5), "3-x-1.50");
   EXPECT_EQ(StrFormat("no args"), "no args");

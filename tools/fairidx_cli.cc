@@ -49,10 +49,10 @@
 // The CLI-only parts: with --wal DIR the command RECOVERS when DIR
 // already holds a checkpoint, resuming at the first record the earlier
 // run never accepted; --tenant NAME logs under DIR/NAME (the
-// TenantRegistry layout); --crash-after-batches N raises SIGKILL after
-// batch N, before its seal (the crash-recovery CI lane); --regions-out
-// FILE writes the final region aggregates with full double precision
-// for exact diffing.
+// TenantRegistry layout); --crash-after-batches N waits for the
+// in-flight checkpoint write, then raises SIGKILL after batch N, before
+// its seal (the crash-recovery CI lanes); --regions-out FILE writes the
+// final region aggregates with full double precision for exact diffing.
 //
 // `--csv` loads an EdGap-style extract (see data/csv_dataset.h for the
 // schema); otherwise the named synthetic city is generated.
@@ -78,7 +78,6 @@
 #include "fairness/disparity_report.h"
 #include "fairness/region_metrics.h"
 #include "index/partition_io.h"
-#include "service/checkpoint.h"
 #include "service/fair_index_service.h"
 #include "service/tenant_registry.h"
 #include "cli_spec.h"
@@ -533,36 +532,20 @@ int CmdStream(const Flags& flags) {
   auto options = MakeServiceOptions(config, run);
   if (!options.ok()) return Fail(options.status());
 
-  // Recover-or-create: a WAL directory that already holds a checkpoint
-  // means a previous run (possibly killed mid-stream) owns this state —
-  // rebuild that run's exact service and resume at the first record it
-  // never accepted.
-  Result<std::unique_ptr<FairIndexService>> service =
-      InternalError("unset");
+  // Recover-or-create, as every durable serving point does: a WAL
+  // directory that already holds a checkpoint resumes the previous
+  // (possibly killed) run at the first record it never accepted.
+  auto opened = RecoverOrCreateService(dataset->grid(), *feed, *options);
+  if (!opened.ok()) return Fail(opened.status());
+  FairIndexService* service = opened->service.get();
   const size_t n = feed->total;
-  size_t resume = feed->warmup;
-  bool recovered = false;
-  if (!config.wal_dir.empty()) {
-    auto checkpoints = ListCheckpoints(config.wal_dir);
-    recovered = checkpoints.ok() && !checkpoints->empty();
-  }
-  if (recovered) {
-    service = FairIndexService::Recover(dataset->grid(), *options);
-    if (!service.ok()) return Fail(service.status());
-    // Records stream in dataset order and every accepted record is
-    // logged exactly once, so the store's record count IS the resume
-    // position.
-    const long long accepted = (*service)->store().num_records();
-    resume = std::min(n, static_cast<size_t>(std::max(0LL, accepted)));
+  const size_t resume = opened->resume;
+  if (opened->recovered) {
     std::printf("recovered from %s: %lld records, epoch %lld, %zu regions "
                 "(resuming at record %zu)\n",
-                config.wal_dir.c_str(), accepted, (*service)->store().epoch(),
-                (*service)->regions()->size(), resume);
-  } else {
-    // Warmup prefix: sealed epoch 0 + the initial maintained partition.
-    service = FairIndexService::Create(
-        dataset->grid(), feed->all.Slice(0, feed->warmup), *options);
-    if (!service.ok()) return Fail(service.status());
+                config.wal_dir.c_str(), service->store().num_records(),
+                service->store().epoch(), service->regions()->size(),
+                resume);
   }
 
   std::printf("kernels: %s (crc32c %s)\n", SimdTierName(DetectedSimdTier()),
@@ -570,7 +553,7 @@ int CmdStream(const Flags& flags) {
   std::printf("streaming %zu records into a height-%d %s partition "
               "(%zu regions, %zu warmup records, batch %d, %d shard%s%s%s%s)\n",
               n - resume, run.height, options->algorithm.c_str(),
-              (*service)->regions()->size(), feed->warmup,
+              service->regions()->size(), feed->warmup,
               config.stream_batch, config.stream_shards,
               config.stream_shards == 1 ? "" : "s",
               config.stream_refine_bound >= 0.0 ? ", incremental refine on"
@@ -579,22 +562,22 @@ int CmdStream(const Flags& flags) {
               config.wal_dir.empty() ? "" : ", durable");
   TablePrinter table({"batch", "records", "pending", "epoch", "regions",
                       "resplits", "region_ence"});
-  const ShardedDeltaStore& store = (*service)->store();
-  const RegionEnceResult warm_ence = RegionEnce((*service)->QueryRegions());
+  const ShardedDeltaStore& store = service->store();
+  const RegionEnceResult warm_ence = RegionEnce(service->QueryRegions());
   table.AddRow({"warmup", std::to_string(store.num_records()),
                 std::to_string(store.pending_records()),
                 std::to_string(store.epoch()),
-                std::to_string((*service)->regions()->size()), "0",
+                std::to_string(service->regions()->size()), "0",
                 TablePrinter::FormatDouble(warm_ence.ence, 5)});
 
   // Caller-driven maintenance ticks, on this thread, the same policy the
   // background loop runs under --auto-maintain.
-  MaintenanceScheduler caller_maintenance(service->get(), options->maintain);
+  MaintenanceScheduler caller_maintenance(service, options->maintain);
   int batch_index = 0;
   for (size_t next = resume; next < n;) {
     const size_t end =
         std::min(n, next + static_cast<size_t>(config.stream_batch));
-    if (auto seq = (*service)->Ingest(feed->all.Slice(next, end));
+    if (auto seq = service->Ingest(feed->all.Slice(next, end));
         !seq.ok()) {
       return Fail(seq.status());
     }
@@ -605,6 +588,11 @@ int CmdStream(const Flags& flags) {
       // Placed after Ingest and before the seal so the newest batch is in
       // the fsync=none group-commit buffer, the loss window recovery must
       // tolerate (the rerun resumes from the clean prefix and re-sends).
+      // The checkpoint the last seal captured is let finish first, so
+      // which checkpoint files the crash leaves does not hang on timing.
+      if (Status status = service->WaitForCheckpoint(); !status.ok()) {
+        return Fail(status);
+      }
       std::fprintf(stderr, "crash-after-batches: SIGKILL after batch %d\n",
                    batch_index + 1);
       std::raise(SIGKILL);
@@ -618,30 +606,30 @@ int CmdStream(const Flags& flags) {
         return Fail(error);
       }
     }
-    const RegionEnceResult ence = RegionEnce((*service)->QueryRegions());
+    const RegionEnceResult ence = RegionEnce(service->QueryRegions());
     table.AddRow({std::to_string(++batch_index),
                   std::to_string(store.num_records()),
                   std::to_string(store.pending_records()),
                   std::to_string(store.epoch()),
-                  std::to_string((*service)->regions()->size()),
-                  std::to_string((*service)->total_resplits()),
+                  std::to_string(service->regions()->size()),
+                  std::to_string(service->total_resplits()),
                   TablePrinter::FormatDouble(ence.ence, 5)});
   }
   table.Print(std::cout);
 
   // Quiesce background maintenance (joins any in-flight pass), then seal
   // the tail and show the exact final state.
-  (*service)->StopMaintenance();
-  if (auto sealed = (*service)->Seal(); !sealed.ok()) {
+  service->StopMaintenance();
+  if (auto sealed = service->Seal(); !sealed.ok()) {
     return Fail(sealed.status());
   }
   const std::vector<RegionAggregate> final_regions =
-      (*service)->QueryRegions();
+      service->QueryRegions();
   const RegionEnceResult final_ence = RegionEnce(final_regions);
   std::printf(
       "final: %lld records, %lld sealed epochs, %lld subtree re-splits, "
       "region ENCE %.5f\n",
-      store.num_records(), store.epoch(), (*service)->total_resplits(),
+      store.num_records(), store.epoch(), service->total_resplits(),
       final_ence.ence);
   // Maintenance pipeline summary: how many publications took the
   // O(changed area) cell-map patch path versus the full O(grid) rebuild
@@ -649,19 +637,19 @@ int CmdStream(const Flags& flags) {
   // (service-level counters cover caller-driven refines too).
   std::printf(
       "maintenance: %lld publications (%lld patched / %lld fallback)",
-      (*service)->publications_patched() +
-          (*service)->publications_fallback(),
-      (*service)->publications_patched(),
-      (*service)->publications_fallback());
+      service->publications_patched() +
+          service->publications_fallback(),
+      service->publications_patched(),
+      service->publications_fallback());
   if (options->auto_maintain) {
-    const MaintenanceStats mstats = (*service)->maintenance_stats();
+    const MaintenanceStats mstats = service->maintenance_stats();
     std::printf(", %lld passes, %lld refines, %lld errors", mstats.passes,
                 mstats.refines, mstats.errors);
   }
   if (!config.wal_dir.empty()) {
     std::printf(", max publish stall %lld us, max checkpoint stall %lld us",
-                (*service)->max_publish_stall_us(),
-                (*service)->max_checkpoint_stall_us());
+                service->max_publish_stall_us(),
+                service->max_checkpoint_stall_us());
   }
   std::printf("\n");
   if (flags.Has("regions-out")) {
